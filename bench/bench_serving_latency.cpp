@@ -1,4 +1,4 @@
-// Serving extension — six experiments, one per serving claim:
+// Serving extension — nine sections, one per serving claim:
 //
 //  1. Throughput vs. offered load, cache-on vs. cache-off (PR 1).  The
 //     Section-4.1 inversion made visible: the same LRU policy that bought
@@ -71,6 +71,13 @@
 //     (framing + codec + socket hops + one extra scheduler handoff).  The
 //     "cross_process" JSON row records both rates and the overhead ratio;
 //     the deploy gate is ratio <= 2x.
+//
+//  8. Kernel ladder.  Every INT8 GEMM arm this host can run (scalar /
+//     SSE2 / AVX2 / AVX-512 VNNI, docs/kernels.md): a micro GEMM at the
+//     serving testbed's first-Linear shape plus the same int8 closed-loop
+//     drive as section 4 with that arm forced.  The "kernel_ladder" rows
+//     mark the arm an unforced deployment dispatches to ("active"), which
+//     is the row the fleetsim calibration prices its INT8 rate from.
 //
 //  9. Tenant isolation (src/tenancy/).  Four equal contracts on one
 //     replica; both arms run tenant 0 at its full contracted quota's

@@ -99,6 +99,22 @@ fi
 echo "== tier-1 tests =="
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
+if [[ -z "${SANITIZE}" && -z "${PPGNN_ISA:-}" ]]; then
+  echo "== perfbench smoke (5k-node run of each benchmark workload) =="
+  # The repo benchmark (perfbench/, BENCHMARK.json) is its own CMake
+  # package.  Its smoke runs each workload for one second on a 5k-node
+  # graph with the full correctness gates: every sampled answer
+  # memcmp-equal to a single InferenceSession, every envelope answered.
+  # Both serving workloads drive every envelope through the batcher's
+  # admission and DWRR pop, so a batcher change that breaks either
+  # contract fails here.  Only on the plain legs: the sanitizer legs
+  # already run the batcher under their checkers, and the forced-ISA legs
+  # test kernels, not admission.
+  cmake -S perfbench -B build/perfbench "${CMAKE_FLAGS[@]}"
+  cmake --build build/perfbench -j "$(nproc)"
+  ctest --test-dir build/perfbench --output-on-failure
+fi
+
 if [[ "${SERVE_AUTOSCALE}" == "1" ]]; then
   echo "== serve_cli autoscale smoke (staged ramp, 1..4 replicas) =="
   # The elastic-fleet smoke: a 6s staged load ramp against min=1..max=4

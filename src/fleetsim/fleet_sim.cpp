@@ -3,23 +3,24 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <queue>
 #include <sstream>
 #include <stdexcept>
 
+#include "serve/admission_queue.h"
 #include "serve/clock.h"
 #include "serve/router.h"
 #include "tenancy/admission.h"
-#include "tenancy/fair_share.h"
 
 namespace ppgnn::fleetsim {
 
 namespace {
 
 using serve::Priority;
+using Part = serve::AdmissionQueue::Part;
 using Tp = std::chrono::steady_clock::time_point;
 using Dur = std::chrono::steady_clock::duration;
 
@@ -31,55 +32,14 @@ double tp_seconds(Tp t) {
   return std::chrono::duration<double>(t.time_since_epoch()).count();
 }
 
-// One queued envelope part.  Mirrors MicroBatcher::Pending minus the
-// shared RequestState — the sim answers nobody, it only accounts.
-struct SimPart {
-  std::int64_t node = 0;
-  Tp enqueued{};
-  Tp deadline = Tp::max();  // explicit; max() = none
-  std::uint32_t tenant = 0;
-};
-
-// One priority class's queue, mirroring MicroBatcher::ClassQueue: per-
-// tenant FIFO sub-queues drained by the REAL DwrrScheduler, so the sim's
-// batch composition is bit-identical with the threaded batcher's.
-struct SimClassQueue {
-  std::map<std::uint32_t, std::deque<SimPart>> by_tenant;
-  tenancy::DwrrScheduler sched;
-  std::size_t size = 0;
-  bool empty() const { return size == 0; }
-
-  void push(SimPart&& p) {
-    auto& dq = by_tenant[p.tenant];
-    if (dq.empty()) sched.arm(p.tenant);
-    dq.push_back(std::move(p));
-    ++size;
-  }
-  template <typename WeightFn>
-  SimPart pop(WeightFn&& weight_of) {
-    const std::uint32_t t = sched.next(weight_of);
-    const auto it = by_tenant.find(t);
-    SimPart p = std::move(it->second.front());
-    it->second.pop_front();
-    const bool now_empty = it->second.empty();
-    if (now_empty) by_tenant.erase(it);
-    sched.note_popped(t, now_empty);
-    --size;
-    return p;
-  }
-};
-
-// One replica: the REAL ServerStats recorder (on the sim clock) plus the
-// modeled queue/cache/service state that stands in for the MicroBatcher's
-// dispatcher thread.
+// One replica: the REAL AdmissionQueue and ServerStats recorder (on the
+// sim clock) plus the modeled cache/service state that stands in for the
+// MicroBatcher's dispatcher thread.
 struct SimReplica {
   std::uint64_t generation = 0;
   std::unique_ptr<serve::ServerStats> stats;
   CacheModel cache;
-  SimClassQueue queues[2];  // indexed by Priority (kHigh=0)
-  // Earliest effective deadline among queued kLow parts (MicroBatcher's
-  // low_next_expiry_): keeps the arrival sweep O(1) when nothing expired.
-  Tp low_next_expiry = Tp::max();
+  serve::AdmissionQueue queue;
   std::size_t in_service = 0;
   bool busy = false;
   bool draining = false;
@@ -92,25 +52,14 @@ struct SimReplica {
 
   SimReplica(std::uint64_t gen, std::chrono::milliseconds window,
              const serve::Clock* clock, const CacheModelConfig& cache_cfg,
-             std::size_t warm_rows, std::size_t shards)
+             std::size_t warm_rows, std::size_t shards,
+             const serve::MicroBatchConfig& batch)
       : generation(gen),
         stats(std::make_unique<serve::ServerStats>(window, clock)),
-        cache(cache_cfg, warm_rows, shards) {}
+        cache(cache_cfg, warm_rows, shards),
+        queue(batch) {}
 
-  std::size_t queued() const { return queues[0].size + queues[1].size; }
-  std::size_t queue_depth() const { return queued() + in_service; }
-  // Oldest arrival across every tenant sub-queue of both classes (each
-  // sub-queue is FIFO, so its front is its oldest) — mirrors the
-  // batcher's oldest_enqueued_locked.
-  Tp oldest_enqueued() const {
-    Tp oldest = Tp::max();
-    for (const auto& cq : queues) {
-      for (const auto& [t, dq] : cq.by_tenant) {
-        oldest = std::min(oldest, dq.front().enqueued);
-      }
-    }
-    return oldest;
-  }
+  std::size_t queue_depth() const { return queue.size() + in_service; }
 };
 
 enum class EvKind : std::uint8_t {
@@ -140,13 +89,12 @@ class Sim {
  public:
   Sim(const SimFleetConfig& cfg, const ServiceModel& model,
       const std::vector<serve::TraceEvent>& trace)
-      : cfg_(cfg), model_(model), trace_(trace) {
+      : cfg_(cfg), model_(model), trace_(trace), batch_(cfg.batch) {
     if (cfg_.initial_replicas == 0) {
       throw std::invalid_argument("FleetSim: initial_replicas must be > 0");
     }
-    if (cfg_.batch.max_batch_size == 0 || cfg_.batch.queue_capacity == 0) {
-      throw std::invalid_argument("FleetSim: zero batch size or capacity");
-    }
+    // The replicas' DWRR weights come from the sim's tenant table.
+    batch_.tenants = cfg_.tenants;
     router_ = serve::make_router(cfg_.policy);
     if (cfg_.autoscale.enabled) {
       policy_ = std::make_unique<serve::AutoscalePolicy>(cfg_.autoscale);
@@ -168,7 +116,7 @@ class Sim {
         static_cast<double>(cfg_.cache.capacity_rows));
     for (std::size_t i = 0; i < cfg_.initial_replicas; ++i) {
       reps_.emplace_back(next_generation_++, cfg_.stats_window, &clock_,
-                         cfg_.cache, init_warm, 1);
+                         cfg_.cache, init_warm, 1, batch_);
       reps_.back().activated_at = clock_.now();
       members_.push_back(i);
     }
@@ -233,7 +181,7 @@ class Sim {
     if (arrival_idx_ < trace_.size()) return false;
     if (spawn_pending_ || drain_pending_ != kNone) return false;
     for (const auto& r : reps_) {
-      if (!r.retired && (r.busy || r.queued() > 0)) return false;
+      if (!r.retired && (r.busy || !r.queue.empty())) return false;
     }
     return true;
   }
@@ -270,230 +218,68 @@ class Sim {
     Tp deadline = e.deadline_us > 0
                       ? now + std::chrono::microseconds(e.deadline_us)
                       : Tp::max();
-    // Tenant gate, same order as FleetManager::submit: ceiling clamp,
-    // default-deadline stamp, then the token bucket.  A refusal never
+    // Tenant gate, same order as FleetManager::submit: the contract's
+    // rewrites, then the token bucket on the sim clock.  A refusal never
     // reaches routing — the envelope dies at the front as kQuotaExceeded.
     if (admission_) {
-      const auto snap = cfg_.tenants->snapshot();
-      const tenancy::TenantContract& c = snap->of(e.tenant);
-      if (c.priority_ceiling == Priority::kLow) pri = Priority::kLow;
-      if (deadline == Tp::max() && c.default_deadline_us > 0) {
-        deadline = now + std::chrono::microseconds(c.default_deadline_us);
-      }
-      // Same seconds formula as TenantAdmission::seconds_now(), so sim and
-      // live bucket refills agree to the bit.
-      const double now_s =
-          static_cast<double>(
-              std::chrono::duration_cast<std::chrono::microseconds>(
-                  now.time_since_epoch())
-                  .count()) /
-          1e6;
-      if (!admission_->try_admit(e.tenant, e.nodes.size(), now_s)) {
+      tenancy::apply_contract(cfg_.tenants->snapshot()->of(e.tenant),
+                              clock_, &pri, &deadline);
+      if (!admission_->try_admit(e.tenant, e.nodes.size())) {
         quota_refused_ += e.nodes.size();
         quota_refused_by_[e.tenant] += e.nodes.size();
         return;
       }
     }
-    // Route exactly like FleetManager::place_parts.  The sim has no racing
+    // Route through FleetManager's placement.  The sim has no racing
     // scaler thread, so the snapshot is always current and the kDraining
     // bounce-and-retry path cannot trigger (membership never contains a
     // draining replica here).
-    if (cfg_.policy == serve::RoutingPolicy::kCacheAffinity &&
-        members_.size() > 1) {
-      std::vector<std::uint32_t> slots(e.nodes.size());
-      for (std::uint32_t s = 0; s < slots.size(); ++s) slots[s] = s;
-      for (const serve::SubBatch& g :
-           serve::split_by_ring(e.nodes, slots, ring_)) {
-        std::vector<std::int64_t> nodes;
-        nodes.reserve(g.slots.size());
-        for (const std::uint32_t s : g.slots) nodes.push_back(e.nodes[s]);
-        admit_parts(members_[g.member], nodes, pri, deadline, now, e.tenant);
-      }
-    } else {
-      const serve::QueueDepthFn depth = [this](std::size_t i) {
-        return reps_[members_[i]].queue_depth();
-      };
-      serve::RouteTargets targets;
-      targets.count = members_.size();
-      targets.queue_depth = &depth;
-      targets.ring = &ring_;
-      const std::size_t m = router_->route(e.nodes[0], targets);
-      admit_parts(members_[m], e.nodes, pri, deadline, now, e.tenant);
+    std::vector<std::uint32_t> slots(e.nodes.size());
+    std::iota(slots.begin(), slots.end(), 0u);
+    const serve::QueueDepthFn depth = [this](std::size_t i) {
+      return reps_[members_[i]].queue_depth();
+    };
+    serve::RouteTargets targets;
+    targets.count = members_.size();
+    targets.queue_depth = &depth;
+    targets.ring = &ring_;
+    for (const serve::SubBatch& g :
+         serve::route_envelope(*router_, e.nodes, std::move(slots), targets)) {
+      admit_parts(members_[g.member], e, g.slots, pri, deadline, now);
     }
   }
 
-  // MicroBatcher::try_submit_parts, step for step, against sim queues.
-  // One deliberate divergence: with shed_budget == 0 the real batcher
-  // BLOCKS the submitter for queue space; an open-loop replay cannot park
-  // the arrival process, so a full queue refuses instead (bounded-queue
-  // admission).  Stats calls match the real ones call for call.
-  void admit_parts(std::size_t ri, const std::vector<std::int64_t>& nodes,
-                   Priority pri, Tp deadline, Tp now, std::uint32_t tenant) {
+  // One sub-batch through the replica's AdmissionQueue, the class the live
+  // MicroBatcher wraps.  One deliberate divergence: with shed_budget == 0
+  // the real batcher BLOCKS the submitter until the parts fit; an
+  // open-loop replay cannot park the arrival process, so the queue's
+  // capacity verdict refuses instead (bounded-queue admission).  Stats
+  // calls match the batcher's call for call.
+  void admit_parts(std::size_t ri, const serve::TraceEvent& e,
+                   const std::vector<std::uint32_t>& slots, Priority pri,
+                   Tp deadline, Tp now) {
     SimReplica& r = reps_[ri];
-    serve::ServerStats& st = *r.stats;
-    const std::size_t n = nodes.size();
-    const bool shedding = cfg_.batch.shed_budget.count() > 0;
-    std::vector<SimPart> victims;
-
-    bool rejected = false, deadline_refusal = false, admitted = false;
-    if (n > cfg_.batch.queue_capacity) {
-      rejected = true;  // can never fit: permanent overload refusal
-    } else if (cfg_.batch.deadline_aware && deadline < now) {
-      rejected = deadline_refusal = true;
-    } else if (!shedding) {
-      if (r.queued() + n > cfg_.batch.queue_capacity) {
-        rejected = true;  // the backpressure divergence documented above
-      } else {
-        // Backpressure mode queues both classes in the kHigh class (one
-        // queue — within it DWRR still arbitrates tenants, like the real
-        // batcher's ClassQueue does).
-        enqueue_parts(r, r.queues[0], nodes, Priority::kHigh, deadline, now,
-                      tenant);
-        admitted = true;
-      }
-    } else {
-      sweep_expired_low(r, now, &victims);
-      auto& low = r.queues[static_cast<std::size_t>(Priority::kLow)];
-      if (pri == Priority::kHigh && !over_budget(r, now)) {
-        const std::size_t after = r.queued() + n;
-        const std::size_t shortfall =
-            after > cfg_.batch.queue_capacity
-                ? after - cfg_.batch.queue_capacity
-                : 0;
-        if (shortfall > 0 && shortfall <= low.size) {
-          while (r.queued() + n > cfg_.batch.queue_capacity) {
-            evict_one_low(r, &victims);
-          }
-        }
-      }
-      if (over_budget(r, now) ||
-          r.queued() + n > cfg_.batch.queue_capacity) {
-        rejected = true;
-      } else {
-        enqueue_parts(r, r.queues[static_cast<std::size_t>(pri)], nodes, pri,
-                      deadline, now, tenant);
-        admitted = true;
-      }
-    }
-
+    std::vector<Part> victims;
+    const serve::RejectReason reason = r.queue.admit(
+        {nullptr, &e.nodes, slots.data(), slots.size(), pri, deadline,
+         e.tenant},
+        now, &victims);
     finish_shed(r, victims, now);
-    if (admitted) {
-      for (std::size_t i = 0; i < n; ++i) st.record_admitted(tenant);
-      maybe_dispatch(ri, now);
-    } else if (rejected) {
-      for (std::size_t i = 0; i < n; ++i) {
-        st.record_rejected(tenant);
-        if (deadline_refusal) st.record_deadline_miss();
-      }
-    }
-  }
-
-  void enqueue_parts(SimReplica& r, SimClassQueue& q,
-                     const std::vector<std::int64_t>& nodes, Priority pri,
-                     Tp deadline, Tp now, std::uint32_t tenant) {
-    for (const std::int64_t node : nodes) {
-      q.push(SimPart{node, now, deadline, tenant});
-    }
-    if (pri == Priority::kLow) {
-      const serve::SlackView v{
-          now, cfg_.batch.deadline_aware ? deadline : Tp::max()};
-      r.low_next_expiry = std::min(
-          r.low_next_expiry,
-          serve::effective_deadline(v, cfg_.batch.shed_budget));
-    }
-  }
-
-  bool over_budget(const SimReplica& r, Tp now) const {
-    if (r.queued() == 0) return false;
-    return now - r.oldest_enqueued() > cfg_.batch.shed_budget;
-  }
-
-  void recompute_low_expiry(SimReplica& r) const {
-    r.low_next_expiry = Tp::max();
-    if (cfg_.batch.shed_budget.count() <= 0) return;
-    for (const auto& [t, dq] :
-         r.queues[static_cast<std::size_t>(Priority::kLow)].by_tenant) {
-      for (const SimPart& p : dq) {
-        const serve::SlackView v{
-            p.enqueued, cfg_.batch.deadline_aware ? p.deadline : Tp::max()};
-        r.low_next_expiry = std::min(
-            r.low_next_expiry,
-            serve::effective_deadline(v, cfg_.batch.shed_budget));
-      }
-    }
-  }
-
-  void sweep_expired_low(SimReplica& r, Tp now,
-                         std::vector<SimPart>* victims) {
-    if (now < r.low_next_expiry) return;
-    auto& low = r.queues[static_cast<std::size_t>(Priority::kLow)];
-    for (auto ti = low.by_tenant.begin(); ti != low.by_tenant.end();) {
-      auto& dq = ti->second;
-      if (cfg_.batch.deadline_aware) {
-        for (auto it = dq.begin(); it != dq.end();) {
-          const serve::SlackView v{it->enqueued, it->deadline};
-          if (serve::effective_deadline(v, cfg_.batch.shed_budget) < now) {
-            victims->push_back(*it);
-            it = dq.erase(it);
-            --low.size;
-          } else {
-            ++it;
-          }
-        }
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      if (reason == serve::RejectReason::kNone) {
+        r.stats->record_admitted(e.tenant);
       } else {
-        while (!dq.empty() &&
-               now - dq.front().enqueued > cfg_.batch.shed_budget) {
-          victims->push_back(dq.front());
-          dq.pop_front();
-          --low.size;
+        r.stats->record_rejected(e.tenant);
+        if (reason == serve::RejectReason::kDeadline) {
+          r.stats->record_deadline_miss();
         }
       }
-      if (dq.empty()) {
-        low.sched.disarm(ti->first);
-        ti = low.by_tenant.erase(ti);
-      } else {
-        ++ti;
-      }
     }
-    recompute_low_expiry(r);
+    if (reason == serve::RejectReason::kNone) maybe_dispatch(ri, now);
   }
 
-  // Globally least-slack victim across every tenant sub-queue — the exact
-  // discipline of MicroBatcher::evict_one_low_locked (without deadlines
-  // the views all carry max() and least_slack degenerates to globally
-  // oldest, the FIFO baseline).
-  void evict_one_low(SimReplica& r, std::vector<SimPart>* victims) {
-    auto& low = r.queues[static_cast<std::size_t>(Priority::kLow)];
-    std::vector<serve::SlackView> views;
-    std::vector<std::pair<std::uint32_t, std::size_t>> where;
-    views.reserve(low.size);
-    where.reserve(low.size);
-    for (const auto& [t, dq] : low.by_tenant) {
-      for (std::size_t i = 0; i < dq.size(); ++i) {
-        const SimPart& p = dq[i];
-        views.push_back(
-            {p.enqueued,
-             cfg_.batch.deadline_aware ? p.deadline : Tp::max()});
-        where.emplace_back(t, i);
-      }
-    }
-    const std::size_t victim =
-        serve::least_slack_index(views, cfg_.batch.shed_budget);
-    const auto [vt, vpos] = where[victim];
-    auto& dq = low.by_tenant[vt];
-    victims->push_back(dq[vpos]);
-    dq.erase(dq.begin() + static_cast<std::ptrdiff_t>(vpos));
-    --low.size;
-    if (dq.empty()) {
-      low.sched.disarm(vt);
-      low.by_tenant.erase(vt);
-    }
-    recompute_low_expiry(r);
-  }
-
-  void finish_shed(SimReplica& r, const std::vector<SimPart>& victims,
-                   Tp now) {
-    for (const SimPart& p : victims) {
+  void finish_shed(SimReplica& r, const std::vector<Part>& victims, Tp now) {
+    for (const Part& p : victims) {
       r.stats->record_shed(p.tenant);
       r.stats->record_shed_wait(
           std::chrono::duration<double, std::micro>(now - p.enqueued)
@@ -510,9 +296,9 @@ class Sim {
   // without waiting — drain latency beats batch quality).
   void maybe_dispatch(std::size_t ri, Tp now) {
     SimReplica& r = reps_[ri];
-    if (r.busy || r.retired || r.queued() == 0) return;
-    const Tp window_close = r.oldest_enqueued() + cfg_.batch.max_delay;
-    if (r.draining || r.queued() >= cfg_.batch.max_batch_size ||
+    if (r.busy || r.retired || r.queue.empty()) return;
+    const Tp window_close = r.queue.window_close();
+    if (r.draining || r.queue.size() >= cfg_.batch.max_batch_size ||
         now >= window_close) {
       start_batch(ri, now);
     } else if (!r.timer_pending) {
@@ -527,29 +313,8 @@ class Sim {
 
   void start_batch(std::size_t ri, Tp now) {
     SimReplica& r = reps_[ri];
-    std::vector<SimPart> batch_parts;
-    std::vector<SimPart> expired;
-    bool popped_low = false;
-    // One registry snapshot per batch close, same as the real batcher's
-    // next_batch — weights flip atomically at batch granularity.
-    const auto tenant_snap =
-        cfg_.tenants ? cfg_.tenants->snapshot() : nullptr;
-    const auto weight_of = [&](std::uint32_t t) {
-      return tenant_snap ? tenant_snap->weight_of(t) : 1u;
-    };
-    for (auto& queue : r.queues) {  // kHigh strictly first
-      while (batch_parts.size() < cfg_.batch.max_batch_size &&
-             !queue.empty()) {
-        SimPart p = queue.pop(weight_of);
-        popped_low = popped_low || &queue == &r.queues[1];
-        if (cfg_.batch.deadline_aware && p.deadline < now) {
-          expired.push_back(p);  // shed pre-compute, never burns a slot
-          continue;
-        }
-        batch_parts.push_back(p);
-      }
-    }
-    if (popped_low) recompute_low_expiry(r);
+    std::vector<Part> expired;
+    std::vector<Part> batch_parts = r.queue.pop_batch(now, &expired);
     finish_shed(r, expired, now);
     const std::size_t batch = batch_parts.size();
     if (batch == 0) {
@@ -557,7 +322,7 @@ class Sim {
       // only stops early when the batch fills).
       return;
     }
-    for (const SimPart& p : batch_parts) {
+    for (const Part& p : batch_parts) {
       r.stats->record_queue_delay(
           std::chrono::duration<double, std::micro>(now - p.enqueued)
               .count());
@@ -576,7 +341,7 @@ class Sim {
     r.busy = true;
     ++busy_count_;
     r.busy_seconds += service_us * 1e-6;
-    in_flight_[ri] = batch_parts;
+    in_flight_[ri] = std::move(batch_parts);
     service_started_[ri] = now;
     push(now + std::chrono::duration_cast<Dur>(
                    std::chrono::duration<double, std::micro>(service_us)),
@@ -585,11 +350,11 @@ class Sim {
 
   void handle_completion(std::size_t ri, Tp now) {
     SimReplica& r = reps_[ri];
-    const std::vector<SimPart> batch = std::move(in_flight_[ri]);
+    const std::vector<Part> batch = std::move(in_flight_[ri]);
     in_flight_[ri].clear();
     const Tp t_pop = service_started_[ri];
     r.stats->record_batch(batch.size());
-    for (const SimPart& p : batch) {
+    for (const Part& p : batch) {
       const double admission_us =
           std::chrono::duration<double, std::micro>(t_pop - p.enqueued)
               .count();
@@ -607,7 +372,7 @@ class Sim {
     r.busy = false;
     r.in_service = 0;
     --busy_count_;
-    if (r.draining && r.queued() == 0) {
+    if (r.draining && r.queue.empty()) {
       finalize_retire(ri, now);
       return;
     }
@@ -632,7 +397,7 @@ class Sim {
       delay_sum +=
           w.mean_queue_delay_us * static_cast<double>(w.queue_delay_samples);
       delay_n += w.queue_delay_samples;
-      s.queue_depth += reps_[i].queued();  // queued-only, like the fleet
+      s.queue_depth += reps_[i].queue.size();  // queued-only, like the fleet
     }
     s.shed_rate = pooled.shed_rate();
     if (delay_n > 0) {
@@ -666,7 +431,7 @@ class Sim {
     const std::size_t warm =
         std::min(cfg_.warm_keys, cfg_.cache.capacity_rows);
     reps_.emplace_back(next_generation_++, cfg_.stats_window, &clock_,
-                       cfg_.cache, warm, 1);
+                       cfg_.cache, warm, 1, batch_);
     SimReplica& r = reps_.back();
     r.activated_at = now;
     r.warmed_keys = warm;
@@ -694,7 +459,7 @@ class Sim {
     publish_membership();
     SimReplica& r = reps_[ri];
     r.draining = true;
-    if (!r.busy && r.queued() == 0) {
+    if (!r.busy && r.queue.empty()) {
       finalize_retire(ri, now);
       return;
     }
@@ -727,7 +492,7 @@ class Sim {
     p.t_seconds = tp_seconds(now);
     p.replicas = members_.size();
     for (const std::size_t i : members_) {
-      p.queued += reps_[i].queued();
+      p.queued += reps_[i].queue.size();
       if (!reps_[i].busy) ++p.idle;
     }
     timeline_.push_back(p);
@@ -803,6 +568,7 @@ class Sim {
   const SimFleetConfig& cfg_;
   const ServiceModel& model_;
   const std::vector<serve::TraceEvent>& trace_;
+  serve::MicroBatchConfig batch_;  // cfg_.batch with the sim's tenant table
 
   serve::SimClock clock_;
   std::unique_ptr<serve::Router> router_;
@@ -823,7 +589,7 @@ class Sim {
   std::size_t drain_pending_ = kNone;
   std::size_t busy_count_ = 0;
   // Parts in service per replica (index-aligned with reps_).
-  std::vector<std::vector<SimPart>> in_flight_;
+  std::vector<std::vector<Part>> in_flight_;
   std::vector<Tp> service_started_;
 
   Tp first_arrival_{};

@@ -3,15 +3,18 @@
 //
 // What is real and what is modeled:
 //
-//   real (bit-identical with production)        modeled
+//   real (the production code itself)          modeled
 //   ------------------------------------       -----------------------
 //   AutoscalePolicy::on_tick + its guards      batch service time
 //   ServerStats windowed gauges (SimClock)       (fleetsim/service_model.h)
-//   HashRing / Router / split_by_ring          cache hit rate (CacheModel)
-//   effective_deadline / least_slack_index     spawn build+warm latency
-//   admission logic (MicroBatcher's order      core timesharing
-//     of checks, re-implemented step for
-//     step on sim queues — see fleet_sim.cpp)
+//   route_envelope: HashRing / Router /        cache hit rate (CacheModel)
+//     split_by_ring placement                  spawn build+warm latency
+//   AdmissionQueue, one per replica: the       core timesharing
+//     MicroBatcher's verdicts, DWRR
+//     sub-queues, expiry sweep, least-slack
+//     eviction and batch pop
+//   tenant front gate: apply_contract and
+//     the TenantAdmission token buckets
 //
 // The simulator is single-threaded: a binary heap of timer events
 // (dispatch-window closes, batch completions, controller ticks, spawn
@@ -38,8 +41,8 @@
 #include <vector>
 
 #include "fleetsim/service_model.h"
+#include "serve/admission_queue.h"
 #include "serve/autoscale.h"
-#include "serve/micro_batcher.h"
 #include "serve/router.h"
 #include "serve/server_stats.h"
 #include "serve/trace.h"
@@ -50,8 +53,8 @@ namespace ppgnn::fleetsim {
 struct SimFleetConfig {
   std::size_t initial_replicas = 1;
   serve::RoutingPolicy policy = serve::RoutingPolicy::kRoundRobin;
-  // Batching/admission knobs; the clock field is ignored (the simulator
-  // always injects its own SimClock).
+  // Batching/admission knobs; the clock and tenants fields are ignored
+  // (the simulator injects its own SimClock, and `tenants` below).
   serve::MicroBatchConfig batch;
   serve::AutoscaleConfig autoscale;
   // Span of each replica's windowed gauges (FleetConfig.stats_window).

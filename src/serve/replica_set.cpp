@@ -212,30 +212,14 @@ Admission FleetManager::try_submit(std::int64_t node, Priority pri) {
     const auto& h = m->replicas[i];
     h->routed.fetch_add(1, std::memory_order_relaxed);
     if (h->remote) {
-      // Remote shim: a single-node envelope with a promise sink.  The wire
-      // has no synchronous admission verdict (the reject travels back as a
-      // kShed response), so the call is always "accepted" and a shed
-      // surfaces as RejectedError through the future — same terminal
-      // behavior as the throwing submit(), one hop later.
-      auto prom = std::make_shared<std::promise<std::vector<float>>>();
+      // Remote shim: the wire has no synchronous admission verdict (the
+      // reject travels back as a kShed response), so the call is always
+      // "accepted" and a shed surfaces as RejectedError through the
+      // future — same terminal behavior as the throwing submit(), one hop
+      // later.
       Admission a;
       a.accepted = true;
-      a.result = prom->get_future();
-      ServeRequest req;
-      req.nodes = {node};
-      req.priority = pri;
-      auto state = std::make_shared<RequestState>(
-          std::move(req), [prom](ServeResponse&& r) {
-            if (r.status == ServeStatus::kOk) {
-              prom->set_value(std::move(r.logits[0]));
-            } else if (r.status == ServeStatus::kError && r.error) {
-              prom->set_exception(r.error);
-            } else {
-              prom->set_exception(std::make_exception_ptr(RejectedError(
-                  "rejected by remote replica admission control")));
-            }
-          });
-      submit_remote(h, state, {0});
+      submit_remote(h, make_legacy_request(node, pri, &a.result), {0});
       return a;
     }
     Admission a = h->batcher->try_submit(node, pri);
@@ -262,19 +246,13 @@ void FleetManager::submit(ServeRequest req, CompletionQueue& cq) {
     throw std::invalid_argument("FleetManager::submit: empty envelope");
   }
   if (admission_) {
-    // Tenancy front gate, in contract order: clamp the claimed priority to
-    // the tenant's ceiling, stamp the contract's default deadline onto
-    // deadline-free requests, then charge the token bucket.  A refusal is
-    // terminal HERE — the envelope answers kQuotaExceeded without ever
-    // being routed, so it can never surface as kDraining (nothing to
-    // re-route) nor pollute a replica's shed counters.
-    const auto snap = cfg_.tenants->snapshot();
-    const tenancy::TenantContract& c = snap->of(req.tenant);
-    if (c.priority_ceiling == Priority::kLow) req.priority = Priority::kLow;
-    if (!req.has_deadline() && c.default_deadline_us > 0) {
-      req.deadline =
-          cfg_.clock->now() + std::chrono::microseconds(c.default_deadline_us);
-    }
+    // Tenancy front gate: the contract's rewrites (priority ceiling, then
+    // default deadline), then the token bucket.  A refusal is terminal
+    // HERE — the envelope answers kQuotaExceeded without ever being
+    // routed, so it can never surface as kDraining (nothing to re-route)
+    // nor pollute a replica's shed counters.
+    tenancy::apply_contract(cfg_.tenants->snapshot()->of(req.tenant),
+                            *cfg_.clock, &req.priority, &req.deadline);
     if (!admission_->try_admit(req.tenant, req.nodes.size())) {
       front_stats_->record_quota_refused(req.tenant, 1);
       auto state = std::make_shared<RequestState>(std::move(req), &cq);
@@ -311,29 +289,16 @@ void FleetManager::place_parts(const std::shared_ptr<RequestState>& state,
       }
       return;
     }
-    std::vector<SubBatch> groups;
-    if (router_->policy() == RoutingPolicy::kCacheAffinity &&
-        m->replicas.size() > 1) {
-      // Ring-consistent split: every node keeps its cache_affinity home,
-      // so a multi-node envelope hits each shard's warm cache instead of
-      // dragging the whole request to one replica's cold one.
-      groups = split_by_ring(nodes, slots, m->ring);
-    } else {
-      // Load-oblivious policies make one decision per envelope: splitting
-      // round_robin traffic would just multiply dispatch overhead without
-      // a cache to aim at.
-      const QueueDepthFn depth = [&m](std::size_t i) {
-        return depth_of(*m->replicas[i]);
-      };
-      RouteTargets targets;
-      targets.count = m->replicas.size();
-      targets.queue_depth = &depth;
-      targets.ring = &m->ring;
-      groups.push_back(
-          SubBatch{router_->route(nodes[slots[0]], targets), slots});
-    }
+    const QueueDepthFn depth = [&m](std::size_t i) {
+      return depth_of(*m->replicas[i]);
+    };
+    RouteTargets targets;
+    targets.count = m->replicas.size();
+    targets.queue_depth = &depth;
+    targets.ring = &m->ring;
     std::vector<std::uint32_t> bounced;
-    for (SubBatch& g : groups) {
+    for (SubBatch& g :
+         route_envelope(*router_, nodes, std::move(slots), targets)) {
       const auto& hp = m->replicas[g.member];
       hp->routed.fetch_add(g.slots.size(), std::memory_order_relaxed);
       if (hp->remote) {

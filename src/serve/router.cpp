@@ -156,4 +156,17 @@ std::vector<SubBatch> split_by_ring(const std::vector<std::int64_t>& nodes,
   return out;
 }
 
+std::vector<SubBatch> route_envelope(Router& router,
+                                     const std::vector<std::int64_t>& nodes,
+                                     std::vector<std::uint32_t> slots,
+                                     const RouteTargets& targets) {
+  if (router.policy() == RoutingPolicy::kCacheAffinity && targets.count > 1) {
+    return split_by_ring(nodes, slots, *targets.ring);
+  }
+  std::vector<SubBatch> out;
+  out.push_back(SubBatch{router.route(nodes[slots[0]], targets),
+                         std::move(slots)});
+  return out;
+}
+
 }  // namespace ppgnn::serve

@@ -130,4 +130,16 @@ std::vector<SubBatch> split_by_ring(const std::vector<std::int64_t>& nodes,
                                     const std::vector<std::uint32_t>& slots,
                                     const HashRing& ring);
 
+// The fleet's placement of one envelope's still-unplaced `slots` over one
+// membership snapshot.  Under cache_affinity with more than one member the
+// ring splits the envelope (split_by_ring), so every node keeps its cache
+// home; otherwise `router` makes one decision, on the first slot's node,
+// for the whole envelope — splitting load-oblivious traffic would only
+// multiply dispatch overhead without a cache to aim at.  FleetManager and
+// the fleet simulator both place envelopes through this.
+std::vector<SubBatch> route_envelope(Router& router,
+                                     const std::vector<std::int64_t>& nodes,
+                                     std::vector<std::uint32_t> slots,
+                                     const RouteTargets& targets);
+
 }  // namespace ppgnn::serve

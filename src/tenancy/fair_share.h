@@ -1,11 +1,12 @@
 // Deficit-weighted round-robin (DWRR) tenant scheduling.
 //
 // DwrrScheduler decides WHICH tenant's sub-queue the next micro-batch
-// part comes from; it never touches the parts themselves.  MicroBatcher
-// keeps one sub-queue per tenant per priority class and consults a
-// scheduler instance per class; fleetsim drives the *same* class over its
-// simulated queues, which is how threaded serving and single-threaded
-// replay stay bit-identical in their batch composition.
+// part comes from; it never touches the parts themselves.  AdmissionQueue
+// (serve/admission_queue.h) keeps one sub-queue per tenant per priority
+// class and consults a scheduler instance per class.  MicroBatcher and
+// fleetsim both drive that one queue class, which is how threaded serving
+// and single-threaded replay stay bit-identical in their batch
+// composition.
 //
 // The discipline is classic DWRR with a unit part cost: each active
 // tenant sits in an activation-ordered ring; when the cursor lands on a
@@ -18,7 +19,7 @@
 // are reproducible to the bit).  A single active tenant degenerates to
 // plain FIFO: existing single-tenant ordering tests hold unchanged.
 //
-// Fairness ranks BELOW deadlines by design: MicroBatcher sheds and
+// Fairness ranks BELOW deadlines by design: AdmissionQueue sheds and
 // evicts on slack before the scheduler ever sees the queue, so DWRR only
 // arbitrates among parts that are all still worth serving.
 #pragma once

@@ -5,6 +5,18 @@
 
 namespace ppgnn::tenancy {
 
+void apply_contract(const TenantContract& c, const serve::Clock& clock,
+                    serve::Priority* priority,
+                    std::chrono::steady_clock::time_point* deadline) {
+  if (c.priority_ceiling == serve::Priority::kLow) {
+    *priority = serve::Priority::kLow;
+  }
+  if (*deadline == std::chrono::steady_clock::time_point::max() &&
+      c.default_deadline_us > 0) {
+    *deadline = clock.now() + std::chrono::microseconds(c.default_deadline_us);
+  }
+}
+
 bool parse_tenant_mix(const std::string& spec,
                       std::vector<std::uint32_t>* weights, std::string* err) {
   weights->clear();

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -37,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/clock.h"
 #include "serve/serve_api.h"
 
 namespace ppgnn::tenancy {
@@ -135,6 +137,15 @@ class TenantRegistry {
   std::shared_ptr<const Snapshot> snapshot_;
   std::mutex write_mu_;  // serializes writers; readers never touch it
 };
+
+// The contract's rewrites of an arriving request at the fleet front, before
+// its token bucket is charged: the claimed priority is clamped to the
+// tenant's ceiling, and a request without a deadline (max()) gets the
+// contract's default one, counted from `clock`'s now.  FleetManager::submit
+// and the fleet simulator's arrivals both go through this.
+void apply_contract(const TenantContract& c, const serve::Clock& clock,
+                    serve::Priority* priority,
+                    std::chrono::steady_clock::time_point* deadline);
 
 // CLI glue (serve_cli --tenant-mix, fleetsim_cli): parse a comma-separated
 // weight list "2,1,1,1" — tenant i gets weight list[i % size], so a short

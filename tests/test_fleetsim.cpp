@@ -23,6 +23,7 @@
 #include "serve/server_stats.h"
 #include "serve/trace.h"
 #include "serve/workload.h"
+#include "tenancy/tenant.h"
 
 namespace ppgnn::fleetsim {
 namespace {
@@ -236,6 +237,119 @@ TEST(FleetSim, TwoHourDiurnalScalesDeterministicallyAcrossSeeds) {
   EXPECT_EQ(signatures[0], signatures[2]);
   EXPECT_EQ(event_times[0], event_times[1]);
   EXPECT_EQ(event_times[0], event_times[2]);
+}
+
+// --- Pinned replay --------------------------------------------------------
+// The determinism tests above compare two runs of one build: a change that
+// moves the simulator's behaviour the same way in both runs passes them.
+// This case pins one replay's integer results to recorded values, so any
+// change to admission (verdicts, expiry sweep, least-slack eviction), DWRR
+// batch composition, the tenant front gate or routing shows up as a diff.
+// Each pinned counter is nonzero, so each mechanism is on the hook.
+
+std::vector<serve::TraceEvent> pinned_trace() {
+  serve::BurstTraceConfig tc;
+  tc.mix.num_nodes = 2000;
+  tc.mix.batch_nodes = 2;
+  tc.mix.low_frac = 0.5;
+  tc.mix.deadline_us = 3000;
+  tc.mix.tenants = 3;
+  tc.mix.seed = 11;
+  tc.span_seconds = 8;
+  tc.base_rps = 500;
+  tc.burst_mult = 4;
+  tc.burst_every_seconds = 4;
+  tc.burst_seconds = 1;
+  auto trace = serve::burst_trace(tc);
+  // Every third envelope arrives without a deadline, so tenant 1's
+  // contract default is stamped onto some of them at the front gate.
+  for (std::size_t i = 0; i < trace.size(); i += 3) trace[i].deadline_us = 0;
+  return trace;
+}
+
+// Weights 2:1:1 with a quota that binds in the bursts; tenant 1 has a
+// default deadline and tenant 2 a kLow priority ceiling.
+void install_pinned_contracts(tenancy::TenantRegistry* reg) {
+  for (std::uint32_t t = 0; t < 3; ++t) {
+    tenancy::TenantContract c;
+    c.rate_per_s = 700;
+    c.burst = 300;
+    c.weight = t == 0 ? 2 : 1;
+    if (t == 1) c.default_deadline_us = 4000;
+    if (t == 2) c.priority_ceiling = serve::Priority::kLow;
+    reg->set_contract(t, c);
+  }
+}
+
+// Batches of 4 from a queue of 8: in the bursts the queue fills before its
+// oldest part is 5 ms old, so kHigh arrivals evict kLow parts, and DWRR
+// decides which queued parts make each batch.
+SimFleetConfig pinned_fleet(const tenancy::TenantRegistry* reg,
+                            bool autoscale) {
+  SimFleetConfig cfg;
+  cfg.initial_replicas = autoscale ? 1 : 2;
+  cfg.policy = serve::RoutingPolicy::kCacheAffinity;
+  cfg.batch.max_batch_size = 4;
+  cfg.batch.max_delay = 500us;
+  cfg.batch.queue_capacity = 8;
+  cfg.batch.shed_budget = 5000us;
+  cfg.autoscale.enabled = autoscale;
+  cfg.autoscale.min_replicas = autoscale ? 1 : 2;
+  cfg.autoscale.max_replicas = autoscale ? 4 : 2;
+  cfg.cache.capacity_rows = 200;
+  cfg.cache.num_nodes = 2000;
+  cfg.timeline_every = 0ms;
+  cfg.tenants = reg;
+  return cfg;
+}
+
+struct PinnedCounts {
+  std::size_t offered, admitted, rejected, shed, answered, deadline_missed,
+      quota_refused;
+  std::size_t tenant_admitted[3], tenant_shed[3];
+  std::string events;  // spawn/retire signature; empty = fixed fleet
+};
+
+void expect_pinned(const SimResult& r, const PinnedCounts& want,
+                   const char* arm) {
+  SCOPED_TRACE(arm);
+  EXPECT_EQ(r.offered_parts, want.offered);
+  EXPECT_EQ(r.admitted, want.admitted);
+  EXPECT_EQ(r.rejected, want.rejected);
+  EXPECT_EQ(r.shed, want.shed);
+  EXPECT_EQ(r.answered, want.answered);
+  EXPECT_EQ(r.deadline_missed, want.deadline_missed);
+  EXPECT_EQ(r.quota_refused, want.quota_refused);
+  ASSERT_EQ(r.tenants.size(), 3u);
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_EQ(r.tenants[t].tenant, t);
+    EXPECT_EQ(r.tenants[t].admitted, want.tenant_admitted[t])
+        << "tenant " << t;
+    EXPECT_EQ(r.tenants[t].shed, want.tenant_shed[t]) << "tenant " << t;
+  }
+  if (!want.events.empty()) {
+    EXPECT_EQ(r.event_signature(), want.events);
+  }
+}
+
+TEST(FleetSim, PinnedBurstReplayMatchesRecordedCounts) {
+  const auto trace = pinned_trace();
+  tenancy::TenantRegistry reg;
+  install_pinned_contracts(&reg);
+  const auto model = ServiceModel::calibrated(
+      /*baseline_rps=*/1500, /*mean_batch=*/12, /*mean_dispatch_us=*/60,
+      /*hit_rate=*/0.5, /*cores=*/4);
+  const auto fixed = FleetSim(pinned_fleet(&reg, false), model).run(trace);
+  const auto scaled = FleetSim(pinned_fleet(&reg, true), model).run(trace);
+  // Recorded before MicroBatcher and FleetSim shared one AdmissionQueue.
+  expect_pinned(fixed,
+                {11980, 11904, 76, 341, 11563, 1148, 2016,
+                 {3943, 3953, 4008}, {66, 97, 178}, ""},
+                "fixed-2");
+  expect_pinned(scaled,
+                {11980, 10910, 1070, 1172, 9738, 1902, 2016,
+                 {3692, 3698, 3520}, {233, 335, 604}, "ud"},
+                "autoscale-1..4");
 }
 
 // --- Capacity planner ---------------------------------------------------
