@@ -24,6 +24,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,8 +44,8 @@ using namespace ppgnn;
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
+std::atomic<int> g_stop{0};  // lock-free: see ReplicaServer::run
+void on_signal(int) { g_stop.store(1); }
 
 struct Args {
   std::string socket;      // unix:/path or tcp:host:port (required)

@@ -382,28 +382,14 @@ class Sim {
   // --- controller ----------------------------------------------------------
 
   serve::FleetSignals signals(Tp now) const {
-    serve::FleetSignals s;
-    s.replicas = members_.size();
-    s.batch_capacity = std::max<std::size_t>(
-        1, s.replicas * cfg_.batch.max_batch_size);
-    serve::AdmissionCounters pooled;
-    double delay_sum = 0;
-    std::size_t delay_n = 0;
+    std::vector<const serve::ServerStats*> stats;
+    std::size_t queued = 0;
     for (const std::size_t i : members_) {
-      const serve::WindowStats w = reps_[i].stats->window(now);
-      pooled.admitted += w.admission.admitted;
-      pooled.rejected += w.admission.rejected;
-      pooled.shed += w.admission.shed;
-      delay_sum +=
-          w.mean_queue_delay_us * static_cast<double>(w.queue_delay_samples);
-      delay_n += w.queue_delay_samples;
-      s.queue_depth += reps_[i].queue.size();  // queued-only, like the fleet
+      stats.push_back(reps_[i].stats.get());
+      queued += reps_[i].queue.size();  // queued-only, like the fleet
     }
-    s.shed_rate = pooled.shed_rate();
-    if (delay_n > 0) {
-      s.mean_queue_delay_us = delay_sum / static_cast<double>(delay_n);
-    }
-    return s;
+    return serve::fleet_signals(stats, now, cfg_.batch.max_batch_size,
+                                queued);
   }
 
   void handle_tick(Tp now) {

@@ -7,9 +7,10 @@
 //   ------------------------------------       -----------------------
 //   AutoscalePolicy::on_tick + its guards      batch service time
 //   ServerStats windowed gauges (SimClock)       (fleetsim/service_model.h)
-//   route_envelope: HashRing / Router /        cache hit rate (CacheModel)
-//     split_by_ring placement                  spawn build+warm latency
-//   AdmissionQueue, one per replica: the       core timesharing
+//     and their fleet_signals() pooling        cache hit rate (CacheModel)
+//   route_envelope: HashRing / Router /        spawn build+warm latency
+//     split_by_ring placement                  core timesharing
+//   AdmissionQueue, one per replica: the
 //     MicroBatcher's verdicts, DWRR
 //     sub-queues, expiry sweep, least-slack
 //     eviction and batch pop
@@ -23,15 +24,12 @@
 // dispatch timing is the event loop's job — which is what lets hours of
 // trace replay in seconds and makes every run bit-reproducible: identical
 // config + trace => identical spawn/retire sequence, admission counts and
-// latency sample, independent of host load or ctest parallelism.
+// latency histograms, independent of host load or ctest parallelism.
 //
 // Fidelity boundaries worth knowing when reading results against a real
-// run: per-part completion latencies live in a sim-local sample (only the
-// POLICY-VISIBLE gauges — admission verdicts, queue delays, deadline
-// misses — go through ServerStats, which is all AutoscalePolicy reads);
-// compute is modeled at batch granularity, so intra-batch effects (cache
-// line reuse, allocator noise) fold into the calibrated service model;
-// and a shed_budget of zero degrades to capacity-bounded FIFO admission
+// run: compute is modeled at batch granularity, so intra-batch effects
+// (cache line reuse, allocator noise) fold into the calibrated service
+// model; and a shed_budget of zero degrades to capacity-bounded FIFO admission
 // because blocking backpressure has no open-loop meaning in a replay.
 #pragma once
 

@@ -34,6 +34,7 @@ void record_part(serve::ServerStats* stats, const WirePart& part,
         // Late answer: admitted, computed, just slow.
         stats->record_admitted(tenant);
         stats->record(latency_us, tenant);
+        stats->record_queue_delay(t.admission_wait_us);
         stats->record_stages(t.admission_wait_us, t.dispatch_delay_us,
                             t.compute_us);
       } else {

@@ -121,7 +121,7 @@ ReplicaServer::ReplicaServer(std::unique_ptr<serve::InferenceSession> session,
 
 ReplicaServer::~ReplicaServer() = default;
 
-int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
+int ReplicaServer::run(const std::atomic<int>* stop) {
   std::string err;
   int listen_fd = listen_on(cfg_.address, &err);
   if (listen_fd < 0) {
@@ -237,7 +237,7 @@ int ReplicaServer::run(const volatile std::sig_atomic_t* stop) {
   // frames this only re-grows what each envelope actually ships.
   WireRequest wreq;
   for (;;) {
-    if (!draining && *stop) {
+    if (!draining && stop->load()) {
       draining = true;
       drain_deadline = std::chrono::steady_clock::now() + cfg_.drain_timeout;
       if (listen_fd >= 0) {

@@ -18,7 +18,7 @@
 // somewhere else.
 #pragma once
 
-#include <csignal>
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -50,9 +50,11 @@ class ReplicaServer {
   ReplicaServer& operator=(const ReplicaServer&) = delete;
 
   // Binds, serves until *stop becomes nonzero, drains, returns 0 on a clean
-  // exit (nonzero on bind/protocol-level failures).  `stop` is typically a
-  // sig_atomic_t flipped by a SIGTERM handler.
-  int run(const volatile std::sig_atomic_t* stop);
+  // exit (nonzero on bind/protocol-level failures).  `stop` is typically
+  // flipped by a SIGTERM handler (replica_server_cli) or another thread;
+  // a handler may store only to a lock-free atomic.
+  static_assert(std::atomic<int>::is_always_lock_free);
+  int run(const std::atomic<int>* stop);
 
   const serve::ServerStats& stats() const { return *stats_; }
   serve::InferenceSession& session() { return *session_; }

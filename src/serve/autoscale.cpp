@@ -1,8 +1,25 @@
 #include "serve/autoscale.h"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "serve/server_stats.h"
+
 namespace ppgnn::serve {
+
+FleetSignals fleet_signals(const std::vector<const ServerStats*>& replicas,
+                           std::chrono::steady_clock::time_point now,
+                           std::size_t max_batch_size,
+                           std::size_t queue_depth) {
+  const WindowStats w = ServerStats::pooled_window(replicas, now);
+  FleetSignals s;
+  s.shed_rate = w.shed_rate();
+  s.mean_queue_delay_us = w.mean_queue_delay_us;
+  s.queue_depth = queue_depth;
+  s.replicas = replicas.size();
+  s.batch_capacity = std::max<std::size_t>(1, s.replicas * max_batch_size);
+  return s;
+}
 
 const char* scale_action_name(ScaleAction a) {
   switch (a) {

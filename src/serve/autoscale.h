@@ -35,8 +35,11 @@
 #include <cstddef>
 #include <deque>
 #include <utility>
+#include <vector>
 
 namespace ppgnn::serve {
+
+class ServerStats;
 
 struct AutoscaleConfig {
   bool enabled = false;
@@ -56,8 +59,8 @@ struct AutoscaleConfig {
   std::chrono::milliseconds tick{50};
 };
 
-// One tick's fleet-level signal sample, pooled across replicas by the
-// caller (sum the window counters, then compute rates).
+// One tick's fleet-level signal sample, pooled across replicas by
+// fleet_signals() (sum the window counters, then compute rates).
 struct FleetSignals {
   double shed_rate = 0;            // windowed: (rejected+shed)/offered
   double mean_queue_delay_us = 0;  // windowed, dispatch-time
@@ -74,6 +77,13 @@ struct FleetSignals {
   std::size_t batch_capacity = 1;
   std::size_t replicas = 0;        // active replica count
 };
+
+// The signal sample of the active replicas' recorders as of `now`, for
+// both the live FleetManager and fleetsim (only `queue_depth` differs).
+FleetSignals fleet_signals(const std::vector<const ServerStats*>& replicas,
+                           std::chrono::steady_clock::time_point now,
+                           std::size_t max_batch_size,
+                           std::size_t queue_depth);
 
 enum class ScaleAction { kNone, kUp, kDown };
 const char* scale_action_name(ScaleAction a);

@@ -678,75 +678,25 @@ std::vector<FleetEvent> FleetManager::events() const {
   return events_;
 }
 
-LatencySummary FleetManager::aggregate_latency() const {
-  ServerStats pooled;
+std::unique_ptr<ServerStats> FleetManager::pooled_stats() const {
+  auto pooled = std::make_unique<ServerStats>();
   std::lock_guard<std::mutex> lk(admin_mu_);
   // Generation-keyed: each replica's history folds in exactly once no
   // matter how membership churned (see ServerStats::merge_once).
   for (const auto& h : all_handles_) {
-    pooled.merge_once(*h->stats, h->generation);
-  }
-  return pooled.summary();
-}
-
-AdmissionCounters FleetManager::aggregate_admission() const {
-  AdmissionCounters total;
-  std::unordered_set<std::uint64_t> seen;
-  std::lock_guard<std::mutex> lk(admin_mu_);
-  for (const auto& h : all_handles_) {
-    if (!seen.insert(h->generation).second) continue;
-    const AdmissionCounters a = h->stats->admission();
-    total.admitted += a.admitted;
-    total.rejected += a.rejected;
-    total.shed += a.shed;
-  }
-  return total;
-}
-
-StageGauges FleetManager::aggregate_stages() const {
-  ServerStats pooled;
-  std::lock_guard<std::mutex> lk(admin_mu_);
-  for (const auto& h : all_handles_) {
-    pooled.merge_once(*h->stats, h->generation);
-  }
-  return pooled.stages();
-}
-
-std::size_t FleetManager::aggregate_deadline_missed() const {
-  std::lock_guard<std::mutex> lk(admin_mu_);
-  std::unordered_set<std::uint64_t> seen;
-  std::size_t total = 0;
-  for (const auto& h : all_handles_) {
-    if (!seen.insert(h->generation).second) continue;
-    total += h->stats->deadline_missed();
-  }
-  return total;
-}
-
-std::vector<TenantStat> FleetManager::aggregate_tenants() const {
-  ServerStats pooled;
-  std::lock_guard<std::mutex> lk(admin_mu_);
-  for (const auto& h : all_handles_) {
-    pooled.merge_once(*h->stats, h->generation);
+    pooled->merge_once(*h->stats, h->generation);
   }
   if (front_stats_) {
     // The front recorder holds what no replica can: quota refusals happen
     // before routing.  UINT64_MAX can never collide with a replica
     // generation (next_generation_ counts up from zero).
-    pooled.merge_once(*front_stats_, UINT64_MAX);
+    pooled->merge_once(*front_stats_, UINT64_MAX);
   }
-  return pooled.tenant_stats();
+  return pooled;
 }
 
 std::size_t FleetManager::quota_refused_total() const {
   return front_stats_ ? front_stats_->quota_refused_total() : 0;
-}
-
-std::size_t FleetManager::aggregate_batches() const {
-  std::lock_guard<std::mutex> lk(admin_mu_);
-  std::size_t n = 0;
-  for (const auto& h : all_handles_) n += h->stats->batches();
-  return n;
 }
 
 double FleetManager::aggregate_mean_batch_size() const {
@@ -764,81 +714,28 @@ double FleetManager::aggregate_mean_batch_size() const {
 }
 
 FleetSignals FleetManager::signals() const {
-  FleetSignals s;
   const auto m = std::atomic_load(&membership_);
-  if (!m) return s;
-  s.replicas = m->replicas.size();
-  s.batch_capacity =
-      std::max<std::size_t>(1, s.replicas * cfg_.batch.max_batch_size);
-  const auto now = cfg_.clock->now();
-  AdmissionCounters pooled;
-  double delay_sum = 0;
-  std::size_t delay_n = 0;
+  if (!m) return FleetSignals{};
+  std::vector<const ServerStats*> stats;
+  std::size_t queued = 0;
   for (const auto& h : m->replicas) {
-    const WindowStats w = h->stats->window(now);
-    pooled.admitted += w.admission.admitted;
-    pooled.rejected += w.admission.rejected;
-    pooled.shed += w.admission.shed;
-    delay_sum += w.mean_queue_delay_us *
-                 static_cast<double>(w.queue_delay_samples);
-    delay_n += w.queue_delay_samples;
+    stats.push_back(h->stats.get());
     // Queued-only (in-service excluded): the idle decision must see work
     // *waiting*, not the batch every healthy replica keeps in service.
     // A remote replica's queue is server-side; wire calls in flight are
     // the closest client-visible proxy.
-    s.queue_depth += h->batcher ? h->batcher->queued() : h->remote->inflight();
+    queued += h->batcher ? h->batcher->queued() : h->remote->inflight();
   }
-  s.shed_rate = pooled.shed_rate();
-  if (delay_n > 0) {
-    s.mean_queue_delay_us = delay_sum / static_cast<double>(delay_n);
-  }
-  return s;
+  return fleet_signals(stats, cfg_.clock->now(), cfg_.batch.max_batch_size,
+                       queued);
 }
 
 WindowStats FleetManager::window_stats() const {
-  WindowStats w;
   const auto m = std::atomic_load(&membership_);
-  if (!m) return w;
-  const auto now = cfg_.clock->now();
-  std::vector<double> samples;
-  double delay_sum = 0;
-  double span_seconds = 1.0;
-  for (const auto& h : m->replicas) {
-    const WindowStats r = h->stats->window(now);
-    w.admission.admitted += r.admission.admitted;
-    w.admission.rejected += r.admission.rejected;
-    w.admission.shed += r.admission.shed;
-    w.deadline_missed += r.deadline_missed;
-    delay_sum += r.mean_queue_delay_us *
-                 static_cast<double>(r.queue_delay_samples);
-    w.queue_delay_samples += r.queue_delay_samples;
-    const auto replica_samples = h->stats->windowed_latency_samples(now);
-    samples.insert(samples.end(), replica_samples.begin(),
-                   replica_samples.end());
-    span_seconds =
-        std::chrono::duration<double>(h->stats->window_span()).count();
-  }
-  if (w.queue_delay_samples > 0) {
-    w.mean_queue_delay_us =
-        delay_sum / static_cast<double>(w.queue_delay_samples);
-  }
-  w.latency.count = samples.size();
-  if (!samples.empty()) {
-    double sum = 0, mx = 0;
-    for (const double v : samples) {
-      sum += v;
-      if (v > mx) mx = v;
-    }
-    w.latency.mean_us = sum / static_cast<double>(samples.size());
-    w.latency.max_us = mx;
-    w.latency.p50_us = percentile(samples, 50);
-    w.latency.p95_us = percentile(samples, 95);
-    w.latency.p99_us = percentile(samples, 99);
-    w.latency.wall_seconds = span_seconds;
-    w.latency.throughput_rps =
-        static_cast<double>(samples.size()) / std::max(span_seconds, 1e-6);
-  }
-  return w;
+  if (!m) return WindowStats{};
+  std::vector<const ServerStats*> stats;
+  for (const auto& h : m->replicas) stats.push_back(h->stats.get());
+  return ServerStats::pooled_window(stats, cfg_.clock->now());
 }
 
 std::size_t FleetManager::total_queue_depth() const {

@@ -262,24 +262,30 @@ class FleetManager {
   std::vector<FleetEvent> events() const;
 
   // Fleet-level stats over every generation ever admitted to the fleet
-  // (retired replicas keep counting — a resize must not launder history):
-  // latency percentiles over the union of raw samples (merging summaries
-  // would be wrong), admission counters summed.
-  LatencySummary aggregate_latency() const;
-  AdmissionCounters aggregate_admission() const;
-  // Per-stage means (admission wait / dispatch delay / compute, plus the
-  // shed-wait column) and deadline misses, pooled over every generation.
-  StageGauges aggregate_stages() const;
-  std::size_t aggregate_deadline_missed() const;
-  // Per-tenant rows pooled over every generation PLUS the fleet front's
-  // quota ledger (quota refusals happen before any replica is chosen, so
-  // only the front recorder has them).  Rows sorted by tenant id.  Empty
-  // for untenanted fleets that never recorded per-tenant activity.
-  std::vector<TenantStat> aggregate_tenants() const;
+  // (retired replicas keep counting — a resize must not launder history)
+  // PLUS the fleet front's quota ledger (quota refusals happen before any
+  // replica is chosen, so only the front recorder has them), all read from
+  // one pooled recorder: latency percentiles over the merged histograms
+  // (merging summaries would be wrong), counters and per-stage means
+  // pooled.  Tenant rows are sorted by tenant id, and empty for untenanted
+  // fleets that never recorded per-tenant activity.
+  LatencySummary aggregate_latency() const {
+    return pooled_stats()->summary();
+  }
+  AdmissionCounters aggregate_admission() const {
+    return pooled_stats()->admission();
+  }
+  StageGauges aggregate_stages() const { return pooled_stats()->stages(); }
+  std::size_t aggregate_deadline_missed() const {
+    return pooled_stats()->deadline_missed();
+  }
+  std::vector<TenantStat> aggregate_tenants() const {
+    return pooled_stats()->tenant_stats();
+  }
   // Envelopes refused by tenant token buckets (kQuotaExceeded), fleet-wide.
   std::size_t quota_refused_total() const;
   // Dispatched batches and their mean size, summed across replicas.
-  std::size_t aggregate_batches() const;
+  std::size_t aggregate_batches() const { return pooled_stats()->batches(); }
   double aggregate_mean_batch_size() const;
   // Cross-process transport counters summed over every remote replica ever
   // spawned (rpc/buffer.h; serve_cli --remote-replicas and bench section 7
@@ -373,6 +379,9 @@ class FleetManager {
                                     const Membership& next);
   void record_event(bool spawned, const ReplicaHandle& h,
                     std::uint64_t epoch, std::size_t replicas_after);
+  // Every generation ever admitted plus the front's quota ledger, folded
+  // into one recorder: what every aggregate_* accessor reads.
+  std::unique_ptr<ServerStats> pooled_stats() const;
   // Fills first_window_hit_rate for spawned replicas one stats-window
   // after activation.  Controller-thread only.
   void measure_first_windows();

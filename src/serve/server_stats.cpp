@@ -16,6 +16,28 @@ double percentile(std::vector<double> sample, double p) {
   return sample[idx];
 }
 
+namespace {
+
+// The one percentile read behind summary() and the windows.  A single
+// instantaneous completion has no measurable span; its rate is the count
+// over a conservative 1us floor instead of infinity.
+LatencySummary summarize(const LatencyHistogram& h, double wall_seconds) {
+  LatencySummary s;
+  s.count = h.count();
+  if (s.count == 0) return s;
+  s.mean_us = h.sum() / static_cast<double>(s.count);
+  s.max_us = h.max();
+  s.p50_us = h.percentile(50);
+  s.p95_us = h.percentile(95);
+  s.p99_us = h.percentile(99);
+  s.wall_seconds = wall_seconds;
+  s.throughput_rps =
+      static_cast<double>(s.count) / std::max(wall_seconds, 1e-6);
+  return s;
+}
+
+}  // namespace
+
 std::string LatencySummary::to_json() const {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
@@ -70,7 +92,7 @@ ServerStats::ServerStats(std::chrono::milliseconds window, const Clock* clock)
       window_ / kBuckets, std::chrono::milliseconds(1));
 }
 
-ServerStats::Bucket& ServerStats::current_bucket_locked(
+std::size_t ServerStats::current_slot_locked(
     std::chrono::steady_clock::time_point now) {
   // Buckets are addressed by absolute bucket index mod kBuckets; any bucket
   // whose recorded start doesn't match the slot's current period is stale
@@ -84,31 +106,26 @@ ServerStats::Bucket& ServerStats::current_bucket_locked(
   if (b.start != start) {
     b = Bucket{};
     b.start = start;
+    for (auto& [id, t] : tenants_) t.window[slot].clear();
   }
-  return b;
+  return slot;
 }
 
-void ServerStats::prune_latency_window_locked(
-    std::chrono::steady_clock::time_point now) {
-  const auto horizon = now - window_;
-  while (!windowed_latencies_.empty() &&
-         windowed_latencies_.front().when < horizon) {
-    windowed_latencies_.pop_front();
-  }
+bool ServerStats::in_window_locked(
+    std::size_t i, std::chrono::steady_clock::time_point now) const {
+  // A start of time_point{} (never written) sorts before any horizon.
+  return buckets_[i].start >= now - window_ && buckets_[i].start <= now;
 }
 
 void ServerStats::record(double latency_us, std::uint32_t tenant) {
   const auto now = clock_->now();
   std::lock_guard<std::mutex> lk(mu_);
-  latencies_us_.push_back(latency_us);
-  tenants_[tenant].latencies_us.push_back(latency_us);
-  if (!any_) {
-    first_done_ = now;
-    any_ = true;
-  }
-  last_done_ = now;
-  windowed_latencies_.push_back({now, latency_us, tenant});
-  prune_latency_window_locked(now);
+  const std::size_t slot = current_slot_locked(now);
+  TenantSlice& t = tenants_[tenant];
+  t.latency.record(latency_us);
+  t.window[slot].record(latency_us);
+  first_done_ = std::min(first_done_, now);
+  last_done_ = std::max(last_done_, now);
 }
 
 void ServerStats::record_batch(std::size_t batch_size) {
@@ -120,7 +137,7 @@ void ServerStats::record_batch(std::size_t batch_size) {
 void ServerStats::record_queue_delay(double delay_us) {
   const auto now = clock_->now();
   std::lock_guard<std::mutex> lk(mu_);
-  Bucket& b = current_bucket_locked(now);
+  Bucket& b = buckets_[current_slot_locked(now)];
   b.queue_delay_sum_us += delay_us;
   ++b.queue_delay_count;
 }
@@ -130,7 +147,7 @@ void ServerStats::record_admitted(std::uint32_t tenant) {
   std::lock_guard<std::mutex> lk(mu_);
   ++admission_.admitted;
   ++tenants_[tenant].admitted;
-  ++current_bucket_locked(now).admission.admitted;
+  ++buckets_[current_slot_locked(now)].admission.admitted;
 }
 
 void ServerStats::record_rejected(std::uint32_t tenant) {
@@ -138,7 +155,7 @@ void ServerStats::record_rejected(std::uint32_t tenant) {
   std::lock_guard<std::mutex> lk(mu_);
   ++admission_.rejected;
   ++tenants_[tenant].rejected;
-  ++current_bucket_locked(now).admission.rejected;
+  ++buckets_[current_slot_locked(now)].admission.rejected;
 }
 
 void ServerStats::record_shed(std::uint32_t tenant) {
@@ -146,7 +163,7 @@ void ServerStats::record_shed(std::uint32_t tenant) {
   std::lock_guard<std::mutex> lk(mu_);
   ++admission_.shed;
   ++tenants_[tenant].shed;
-  ++current_bucket_locked(now).admission.shed;
+  ++buckets_[current_slot_locked(now)].admission.shed;
 }
 
 void ServerStats::record_quota_refused(std::uint32_t tenant, std::size_t n) {
@@ -161,7 +178,7 @@ void ServerStats::record_deadline_miss() {
   const auto now = clock_->now();
   std::lock_guard<std::mutex> lk(mu_);
   ++deadline_missed_;
-  ++current_bucket_locked(now).deadline_missed;
+  ++buckets_[current_slot_locked(now)].deadline_missed;
 }
 
 void ServerStats::record_stages(double admission_us, double dispatch_us,
@@ -202,151 +219,110 @@ std::size_t ServerStats::quota_refused_total() const {
 std::vector<TenantStat> ServerStats::tenant_stats(
     std::chrono::steady_clock::time_point now) const {
   std::vector<TenantStat> rows;
-  std::map<std::uint32_t, std::vector<double>> windowed;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto horizon = now - window_;
-    for (const WindowedSample& s : windowed_latencies_) {
-      if (s.when >= horizon) windowed[s.tenant].push_back(s.latency_us);
+  std::lock_guard<std::mutex> lk(mu_);
+  rows.reserve(tenants_.size());
+  for (const auto& [id, slice] : tenants_) {
+    TenantStat t;
+    t.tenant = id;
+    t.admitted = slice.admitted;
+    t.rejected = slice.rejected;
+    t.shed = slice.shed;
+    t.quota_refused = slice.quota_refused;
+    t.samples = slice.latency.count();
+    t.p50_us = slice.latency.percentile(50);
+    t.p99_us = slice.latency.percentile(99);
+    LatencyHistogram recent;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      if (in_window_locked(i, now)) recent.merge(slice.window[i]);
     }
-    rows.reserve(tenants_.size());
-    for (const auto& [id, slice] : tenants_) {
-      TenantStat t;
-      t.tenant = id;
-      t.admitted = slice.admitted;
-      t.rejected = slice.rejected;
-      t.shed = slice.shed;
-      t.quota_refused = slice.quota_refused;
-      t.samples = slice.latencies_us.size();
-      t.p50_us = percentile(slice.latencies_us, 50);
-      t.p99_us = percentile(slice.latencies_us, 99);
-      rows.push_back(t);
-    }
-  }
-  for (TenantStat& t : rows) {
-    const auto it = windowed.find(t.tenant);
-    if (it == windowed.end()) continue;
-    t.win_samples = it->second.size();
-    t.win_p50_us = percentile(it->second, 50);
-    t.win_p99_us = percentile(it->second, 99);
+    t.win_samples = recent.count();
+    t.win_p50_us = recent.percentile(50);
+    t.win_p99_us = recent.percentile(99);
+    rows.push_back(t);
   }
   return rows;
 }
 
-WindowStats ServerStats::window(
-    std::chrono::steady_clock::time_point now) const {
+WindowStats ServerStats::window_locked(
+    std::chrono::steady_clock::time_point now,
+    LatencyHistogram& latency) const {
   WindowStats w;
-  std::vector<double> recent;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto horizon = now - window_;
-    double delay_sum = 0;
-    for (const Bucket& b : buckets_) {
-      // A bucket participates only if its period is inside the window; a
-      // start of time_point{} (never written) sorts before any horizon.
-      if (b.start < horizon || b.start > now) continue;
-      w.admission.admitted += b.admission.admitted;
-      w.admission.rejected += b.admission.rejected;
-      w.admission.shed += b.admission.shed;
-      w.deadline_missed += b.deadline_missed;
-      delay_sum += b.queue_delay_sum_us;
-      w.queue_delay_samples += b.queue_delay_count;
-    }
-    if (w.queue_delay_samples > 0) {
-      w.mean_queue_delay_us =
-          delay_sum / static_cast<double>(w.queue_delay_samples);
-    }
-    recent.reserve(windowed_latencies_.size());
-    for (const WindowedSample& s : windowed_latencies_) {
-      if (s.when >= horizon) recent.push_back(s.latency_us);
-    }
+  double delay_sum = 0;
+  for (std::size_t i = 0; i < kBuckets; ++i) {
+    if (!in_window_locked(i, now)) continue;
+    const Bucket& b = buckets_[i];
+    w.admission.admitted += b.admission.admitted;
+    w.admission.rejected += b.admission.rejected;
+    w.admission.shed += b.admission.shed;
+    w.deadline_missed += b.deadline_missed;
+    delay_sum += b.queue_delay_sum_us;
+    w.queue_delay_samples += b.queue_delay_count;
+    for (const auto& [id, t] : tenants_) latency.merge(t.window[i]);
   }
-  w.latency.count = recent.size();
-  if (!recent.empty()) {
-    double sum = 0, mx = 0;
-    for (const double v : recent) {
-      sum += v;
-      mx = std::max(mx, v);
-    }
-    w.latency.mean_us = sum / static_cast<double>(recent.size());
-    w.latency.max_us = mx;
-    w.latency.p50_us = percentile(recent, 50);
-    w.latency.p95_us = percentile(recent, 95);
-    w.latency.p99_us = percentile(recent, 99);
-    const double span = std::chrono::duration<double>(window_).count();
-    w.latency.wall_seconds = span;
-    w.latency.throughput_rps =
-        static_cast<double>(recent.size()) / std::max(span, 1e-6);
+  if (w.queue_delay_samples > 0) {
+    w.mean_queue_delay_us =
+        delay_sum / static_cast<double>(w.queue_delay_samples);
   }
   return w;
 }
 
-std::vector<double> ServerStats::windowed_latency_samples(
+WindowStats ServerStats::window(
     std::chrono::steady_clock::time_point now) const {
-  std::vector<double> out;
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto horizon = now - window_;
-  out.reserve(windowed_latencies_.size());
-  for (const WindowedSample& s : windowed_latencies_) {
-    if (s.when >= horizon) out.push_back(s.latency_us);
+  return pooled_window({this}, now);
+}
+
+WindowStats ServerStats::pooled_window(
+    const std::vector<const ServerStats*>& recorders,
+    std::chrono::steady_clock::time_point now) {
+  WindowStats pool;
+  LatencyHistogram recent;
+  double delay_sum = 0;
+  double span_seconds = 1.0;
+  for (const ServerStats* r : recorders) {
+    std::lock_guard<std::mutex> lk(r->mu_);
+    const WindowStats w = r->window_locked(now, recent);
+    pool.admission.admitted += w.admission.admitted;
+    pool.admission.rejected += w.admission.rejected;
+    pool.admission.shed += w.admission.shed;
+    pool.deadline_missed += w.deadline_missed;
+    delay_sum +=
+        w.mean_queue_delay_us * static_cast<double>(w.queue_delay_samples);
+    pool.queue_delay_samples += w.queue_delay_samples;
+    span_seconds = std::chrono::duration<double>(r->window_).count();
   }
-  return out;
+  if (pool.queue_delay_samples > 0) {
+    pool.mean_queue_delay_us =
+        delay_sum / static_cast<double>(pool.queue_delay_samples);
+  }
+  pool.latency = summarize(recent, span_seconds);
+  return pool;
 }
 
 void ServerStats::merge(const ServerStats& other) {
-  // Copy the source under its own lock, then fold in under ours, so the two
-  // locks are never held together (no ordering to get wrong).
-  std::vector<double> samples;
-  std::size_t batches, batched_requests, misses, quota_refused;
-  AdmissionCounters adm;
-  StageGauges stages;
-  std::map<std::uint32_t, TenantSlice> tenants;
-  bool any;
-  std::chrono::steady_clock::time_point first, last;
-  {
-    std::lock_guard<std::mutex> lk(other.mu_);
-    samples = other.latencies_us_;
-    batches = other.batches_;
-    batched_requests = other.batched_requests_;
-    adm = other.admission_;
-    misses = other.deadline_missed_;
-    quota_refused = other.quota_refused_;
-    stages = other.stages_;
-    tenants = other.tenants_;
-    any = other.any_;
-    first = other.first_done_;
-    last = other.last_done_;
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  latencies_us_.insert(latencies_us_.end(), samples.begin(), samples.end());
-  batches_ += batches;
-  batched_requests_ += batched_requests;
-  admission_.admitted += adm.admitted;
-  admission_.rejected += adm.rejected;
-  admission_.shed += adm.shed;
-  deadline_missed_ += misses;
-  quota_refused_ += quota_refused;
-  for (const auto& [id, slice] : tenants) {
+  std::scoped_lock lk(mu_, other.mu_);
+  batches_ += other.batches_;
+  batched_requests_ += other.batched_requests_;
+  admission_.admitted += other.admission_.admitted;
+  admission_.rejected += other.admission_.rejected;
+  admission_.shed += other.admission_.shed;
+  deadline_missed_ += other.deadline_missed_;
+  quota_refused_ += other.quota_refused_;
+  for (const auto& [id, slice] : other.tenants_) {
     TenantSlice& mine = tenants_[id];
     mine.admitted += slice.admitted;
     mine.rejected += slice.rejected;
     mine.shed += slice.shed;
     mine.quota_refused += slice.quota_refused;
-    mine.latencies_us.insert(mine.latencies_us.end(),
-                             slice.latencies_us.begin(),
-                             slice.latencies_us.end());
+    mine.latency.merge(slice.latency);
   }
-  stages_.admission_sum_us += stages.admission_sum_us;
-  stages_.dispatch_sum_us += stages.dispatch_sum_us;
-  stages_.compute_sum_us += stages.compute_sum_us;
-  stages_.dispatched += stages.dispatched;
-  stages_.shed_wait_sum_us += stages.shed_wait_sum_us;
-  stages_.shed_waits += stages.shed_waits;
-  if (any) {
-    if (!any_ || first < first_done_) first_done_ = first;
-    if (!any_ || last > last_done_) last_done_ = last;
-    any_ = true;
-  }
+  stages_.admission_sum_us += other.stages_.admission_sum_us;
+  stages_.dispatch_sum_us += other.stages_.dispatch_sum_us;
+  stages_.compute_sum_us += other.stages_.compute_sum_us;
+  stages_.dispatched += other.stages_.dispatched;
+  stages_.shed_wait_sum_us += other.stages_.shed_wait_sum_us;
+  stages_.shed_waits += other.stages_.shed_waits;
+  first_done_ = std::min(first_done_, other.first_done_);
+  last_done_ = std::max(last_done_, other.last_done_);
 }
 
 bool ServerStats::merge_once(const ServerStats& other,
@@ -362,33 +338,12 @@ bool ServerStats::merge_once(const ServerStats& other,
 }
 
 LatencySummary ServerStats::summary() const {
-  std::vector<double> sample;
-  LatencySummary s;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    sample = latencies_us_;
-    if (any_) {
-      s.wall_seconds =
-          std::chrono::duration<double>(last_done_ - first_done_).count();
-    }
-  }
-  s.count = sample.size();
-  if (sample.empty()) return s;
-  double sum = 0, mx = 0;
-  for (const double v : sample) {
-    sum += v;
-    mx = std::max(mx, v);
-  }
-  s.mean_us = sum / static_cast<double>(sample.size());
-  s.max_us = mx;
-  s.p50_us = percentile(sample, 50);
-  s.p95_us = percentile(sample, 95);
-  s.p99_us = percentile(sample, 99);
-  // A single instantaneous completion has no measurable span; report the
-  // count over a conservative 1us floor instead of infinity.
-  const double span = std::max(s.wall_seconds, 1e-6);
-  s.throughput_rps = static_cast<double>(s.count) / span;
-  return s;
+  LatencyHistogram all;
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [id, t] : tenants_) all.merge(t.latency);
+  if (all.count() == 0) return LatencySummary{};
+  return summarize(
+      all, std::chrono::duration<double>(last_done_ - first_done_).count());
 }
 
 std::size_t ServerStats::batches() const {
@@ -401,22 +356,6 @@ double ServerStats::mean_batch_size() const {
   return batches_ == 0 ? 0.0
                        : static_cast<double>(batched_requests_) /
                              static_cast<double>(batches_);
-}
-
-void ServerStats::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  latencies_us_.clear();
-  batches_ = 0;
-  batched_requests_ = 0;
-  admission_ = AdmissionCounters{};
-  deadline_missed_ = 0;
-  quota_refused_ = 0;
-  stages_ = StageGauges{};
-  tenants_.clear();
-  any_ = false;
-  buckets_ = {};
-  windowed_latencies_.clear();
-  merged_generations_.clear();
 }
 
 }  // namespace ppgnn::serve

@@ -13,33 +13,33 @@
 // every hard request — so ServerStats also counts the admission verdicts:
 // admitted, rejected at the door, and shed from the queue after admission.
 //
-// Two aggregation regimes share this class:
+// Two aggregation regimes share this class, and both keep latencies in
+// LatencyHistograms (latency_histogram.h), so a recorder's memory does not
+// grow with the number of requests it has seen:
 //
-//  * Cumulative — lifetime counters and the full latency sample, what the
-//    bench tables report.  Each replica owns one ServerStats; merge() /
-//    merge_once() pool samples so fleet-level percentiles come from the
-//    union of raw latencies, not from averaging per-replica percentiles
-//    (which is wrong).  With *dynamic* membership (FleetManager), a
-//    retired replica's recorder outlives the replica and a same-slot
-//    successor records into a fresh one — so fleet aggregation is keyed by
-//    generation id: merge_once() folds a given generation exactly once per
-//    pooled recorder no matter how many membership lists mention it.
+//  * Cumulative — lifetime counters and one latency histogram per tenant,
+//    what the bench tables report.  Each replica owns one ServerStats;
+//    merge() / merge_once() add histograms so fleet-level percentiles come
+//    from the union of latencies, not from averaging per-replica
+//    percentiles (which is wrong).  With *dynamic* membership
+//    (FleetManager), a retired replica's recorder outlives the replica and
+//    a same-slot successor records into a fresh one — so fleet aggregation
+//    is keyed by generation id: merge_once() folds a given generation
+//    exactly once per pooled recorder no matter how many membership lists
+//    mention it.
 //
-//  * Windowed — the autoscale signals.  Admission verdicts and queue-delay
-//    samples additionally land in a bucketed sliding window (16 buckets
-//    over a configurable span), and recent latency samples are kept
-//    timestamped, so window() reports the *recent* shed rate, mean queue
-//    delay and admitted-latency percentiles — what the AutoscalePolicy
-//    reacts to and serve_cli's per-window status line prints.  Bucketed
-//    counters cost O(1) per event regardless of rate; only the latency
-//    window keeps individual samples (percentiles need them).
+//  * Windowed — the autoscale signals.  Admission verdicts, queue delays
+//    and completions additionally land in a ring of 16 buckets over a
+//    configurable span (one histogram per tenant per bucket), so window()
+//    reports the *recent* shed rate, mean queue delay and admitted-latency
+//    percentiles — what the AutoscalePolicy reacts to and serve_cli's
+//    per-window status line prints.  Each event costs O(1) at any rate.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "serve/clock.h"
+#include "serve/latency_histogram.h"
 
 namespace ppgnn::serve {
 
@@ -166,7 +167,7 @@ struct WindowStats {
 class ServerStats {
  public:
   // `window` spans the sliding-window gauges (autoscale signals); the
-  // cumulative counters and full latency sample are unaffected by it.
+  // cumulative counters and latency histograms are unaffected by it.
   // `clock` stamps every recorded event and defaults to the real steady
   // clock; under a SimClock the windowed gauges advance in sim time, so
   // policy code reading them cannot diverge from the event loop (the
@@ -220,22 +221,20 @@ class ServerStats {
   // sim-clocked recorder's window is evaluated at sim time.
   WindowStats window() const { return window(clock_->now()); }
   WindowStats window(std::chrono::steady_clock::time_point now) const;
-  // Raw latency samples within the window — fleet-level window percentiles
-  // must pool raw samples across replicas (percentiles don't average).
-  std::vector<double> windowed_latency_samples() const {
-    return windowed_latency_samples(clock_->now());
-  }
-  std::vector<double> windowed_latency_samples(
-      std::chrono::steady_clock::time_point now) const;
-  std::chrono::milliseconds window_span() const { return window_; }
+  // Several recorders' windows (a fleet's replicas) pooled as of `now`:
+  // counters add, the queue delay re-weights each recorder's mean by its
+  // sample count, and percentiles read the union of the windowed
+  // histograms.  fleet_signals() (autoscale.h) reads it.
+  static WindowStats pooled_window(
+      const std::vector<const ServerStats*>& recorders,
+      std::chrono::steady_clock::time_point now);
   std::size_t batches() const;
   double mean_batch_size() const;
-  void reset();
 
-  // Pools `other` into this recorder: latency samples, batch and admission
-  // counters, and the completion-time span (min first / max last).  The
-  // sliding window is NOT pooled — windows are per-replica signals; pool
-  // the WindowStats counters instead.
+  // Pools `other` into this recorder: latency histograms, batch and
+  // admission counters, and the completion-time span (min first / max
+  // last).  The sliding window is NOT pooled — windows are per-replica
+  // signals; pooled_window() pools them across recorders instead.
   void merge(const ServerStats& other);
   // Generation-keyed merge for dynamic fleets: folds `other` only if
   // `generation` has not been merged into *this* recorder before, and
@@ -247,6 +246,8 @@ class ServerStats {
   bool merge_once(const ServerStats& other, std::uint64_t generation);
 
  private:
+  static constexpr std::size_t kBuckets = 16;
+
   struct Bucket {
     std::chrono::steady_clock::time_point start{};
     AdmissionCounters admission;
@@ -255,34 +256,30 @@ class ServerStats {
     std::size_t queue_delay_count = 0;
   };
 
-  // Rotates the bucket ring so `now` falls in the current bucket; stale
-  // buckets are zeroed.  Caller holds mu_.
-  Bucket& current_bucket_locked(std::chrono::steady_clock::time_point now);
-  void prune_latency_window_locked(std::chrono::steady_clock::time_point now);
-
-  static constexpr std::size_t kBuckets = 16;
-
-  // One tenant's cumulative slice.  The latency sample is duplicated per
-  // tenant (the global latencies_us_ stays the merge/summary source of
-  // truth) so fleet-level per-tenant percentiles pool RAW samples across
-  // replicas, same rule as the global ones.
+  // One tenant's slice.  window[i] holds its completions in buckets_[i]'s
+  // period (a rotating bucket clears its slot in every tenant).
   struct TenantSlice {
     std::size_t admitted = 0;
     std::size_t rejected = 0;
     std::size_t shed = 0;
     std::size_t quota_refused = 0;
-    std::vector<double> latencies_us;
+    LatencyHistogram latency;
+    std::array<LatencyHistogram, kBuckets> window;
   };
 
-  struct WindowedSample {
-    std::chrono::steady_clock::time_point when;
-    double latency_us;
-    std::uint32_t tenant;
-  };
+  // Rotates the bucket ring so `now` falls in the current bucket (stale
+  // buckets restart from zero) and returns its slot.  Caller holds mu_.
+  std::size_t current_slot_locked(std::chrono::steady_clock::time_point now);
+  // Whether slot `i`'s period lies inside the window ending at `now`.
+  bool in_window_locked(std::size_t i,
+                        std::chrono::steady_clock::time_point now) const;
+  // The window's counters at `now` (latency left empty); its completions
+  // are merged into `latency`.  Caller holds mu_.
+  WindowStats window_locked(std::chrono::steady_clock::time_point now,
+                            LatencyHistogram& latency) const;
 
   const Clock* clock_;  // never null; defaults to &real_clock()
   mutable std::mutex mu_;
-  std::vector<double> latencies_us_;
   std::size_t batches_ = 0;
   std::size_t batched_requests_ = 0;
   AdmissionCounters admission_;
@@ -292,14 +289,15 @@ class ServerStats {
   // std::map: tenant_stats() rows come out sorted by tenant id, and merge
   // order can't perturb iteration (deterministic JSON across runs).
   std::map<std::uint32_t, TenantSlice> tenants_;
-  bool any_ = false;
-  std::chrono::steady_clock::time_point first_done_;
-  std::chrono::steady_clock::time_point last_done_;
+  // Completion span: min first / max last, inverted until a record.
+  std::chrono::steady_clock::time_point first_done_ =
+      std::chrono::steady_clock::time_point::max();
+  std::chrono::steady_clock::time_point last_done_ =
+      std::chrono::steady_clock::time_point::min();
 
   std::chrono::milliseconds window_;
   std::chrono::steady_clock::duration bucket_len_;
   std::array<Bucket, kBuckets> buckets_{};
-  std::deque<WindowedSample> windowed_latencies_;
   std::unordered_set<std::uint64_t> merged_generations_;
 };
 

@@ -16,7 +16,9 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -107,7 +109,7 @@ class LoopbackServer {
 
  private:
   std::string address_;
-  volatile std::sig_atomic_t stop_ = 0;
+  std::atomic<int> stop_{0};
   int rc_ = -1;
   std::unique_ptr<ReplicaServer> server_;
   std::thread thread_;
@@ -348,6 +350,15 @@ TEST(RpcProcessTest, SpawnHandshakeDrainReap) {
   // retire() is idempotent and keeps returning the same code.
   EXPECT_EQ(replica->retire(), 0);
   EXPECT_EQ(replica->retire(), 0);
+
+  // The exit line perfbench's remote_mean_batch() parses out of the
+  // replica's log, read from its ServerStats.
+  std::ifstream log(spawn_config("lifecycle").log_path);
+  const std::string text{std::istreambuf_iterator<char>(log), {}};
+  const std::string exit_line =
+      "replica_server: pid " + std::to_string(replica->pid()) +
+      " exiting rc=0 (0 admitted, 0 shed, 0 batches)\n";
+  EXPECT_NE(text.find(exit_line), std::string::npos) << text;
 }
 
 // --- Cross-process fleet ---------------------------------------------------
@@ -512,6 +523,87 @@ TEST(RpcFleetTest, GracefulScaleDownMidStormLosesNothing) {
 
   fleet.stop();
   for (const auto& r : rf.spawned) EXPECT_EQ(r->retire(), 0);
+}
+
+// --- Client-side stats of a remote replica ----------------------------------
+
+// Every gather outlasts the deadline below, so the replica answers late
+// (kDeadlineExceeded with logits) rather than shedding at dispatch.
+class SlowSource : public serve::FeatureSource {
+ public:
+  explicit SlowSource(std::unique_ptr<serve::FeatureSource> inner)
+      : inner_(std::move(inner)) {}
+  std::size_t num_rows() const override { return inner_->num_rows(); }
+  std::size_t row_dim() const override { return inner_->row_dim(); }
+  void gather(const std::vector<std::int64_t>& rows, Tensor& out) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    inner_->gather(rows, out);
+  }
+  const char* kind() const override { return "slow"; }
+
+ private:
+  std::unique_ptr<serve::FeatureSource> inner_;
+};
+
+std::unique_ptr<serve::FeatureSource> slow_source(std::size_t) {
+  return std::make_unique<SlowSource>(testbed().memory_source());
+}
+
+// A ReplicaServer over the slow source, served from its own thread.
+struct SlowServer {
+  ReplicaServer server;
+  std::atomic<int> stop{0};
+  std::thread thread;
+
+  explicit SlowServer(const ReplicaServerConfig& cfg)
+      : server(testbed().fleet_builder(slow_source).build(0), cfg),
+        thread([this] { server.run(&stop); }) {}
+  ~SlowServer() {
+    stop = 1;
+    thread.join();
+  }
+};
+
+TEST(RemoteReplicaStats, LateAnswerRecordsItsQueueDelay) {
+  // A late answer was admitted and dispatched like an on-time one, so the
+  // client-side view must carry its queue delay too: it is one of the
+  // slowest parts the windowed autoscale signal should see.
+  ReplicaServerConfig cfg;
+  cfg.address = std::string("unix:") + testbed().dir() + "/late.sock";
+  cfg.batch.max_delay = std::chrono::microseconds(100);
+  SlowServer server(cfg);
+
+  RpcClientConfig ccfg;
+  ccfg.address = cfg.address;
+  auto client = std::make_unique<RpcClient>(ccfg);
+  WireHelloAck ack;
+  std::string err;
+  ASSERT_TRUE(client->handshake(&ack, &err)) << err;
+  RemoteReplica replica(nullptr, std::move(client), ack);
+
+  serve::ServerStats stats(std::chrono::seconds(3600));
+  serve::CompletionQueue cq;
+  serve::ServeRequest req;
+  req.nodes = {5};
+  req.deadline = serve::deadline_in(std::chrono::milliseconds(100));
+  const std::uint32_t slot = 0;
+  replica.submit_parts(
+      std::make_shared<serve::RequestState>(std::move(req), &cq), &slot, 1,
+      &stats,
+      [](const std::shared_ptr<serve::RequestState>&,
+         std::vector<std::uint32_t>) { ADD_FAILURE() << "re-routed"; });
+  serve::ServeResponse resp;
+  ASSERT_TRUE(cq.wait_for(&resp, std::chrono::seconds(30)));
+  EXPECT_EQ(resp.status, ServeStatus::kDeadlineExceeded);
+  ASSERT_EQ(resp.logits.size(), 1u);
+  EXPECT_FALSE(resp.logits[0].empty());  // answered late, not shed
+
+  const serve::WindowStats w = stats.window();
+  EXPECT_EQ(w.admission.admitted, 1u);
+  EXPECT_EQ(w.deadline_missed, 1u);
+  EXPECT_EQ(w.latency.count, 1u);
+  EXPECT_EQ(w.queue_delay_samples, 1u);
+  EXPECT_EQ(replica.retire(), -1);  // no child: shuts the client down
 }
 
 }  // namespace
