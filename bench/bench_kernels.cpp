@@ -1,7 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the primitive costs that the
 // hardware cost model abstracts — GEMM, SpMM, fused vs per-row gather, and
-// the INT8 serving GEMM per kernel-ladder arm — measured for real on this
-// machine.  The per-row vs fused assembly gap is the CPU-side ground truth
+// the fp32 and INT8 GEMMs per kernel-ladder arm — measured for real on
+// this machine.  The per-row vs fused assembly gap is the CPU-side ground truth
 // behind the paper's Section 4.1 optimization.
 //
 // --ladder-json=PATH bypasses google-benchmark and appends one
@@ -42,6 +42,40 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+// The fp32 GEMM ladder (docs/kernels.md) on SGC's training shapes: a
+// 1024-row batch of 256-wide features, 16 classes.  Arg 0 is the ISA rung
+// (its fp32 arm is the label), arg 1 the GEMM: 0 = forward X W (NN),
+// 1 = dW += X^T dY (TN), 2 = dX = dY W^T (NT).
+void BM_GemmF32Ladder(benchmark::State& state) {
+  const Isa rung = static_cast<Isa>(state.range(0));
+  if (!isa_supported(rung)) {
+    state.SkipWithError("arm not supported on this host");
+    return;
+  }
+  constexpr std::size_t kRows = 1024, kFeat = 256, kClasses = 16;
+  Rng rng(6);
+  const Tensor x = Tensor::normal({kRows, kFeat}, rng);
+  const Tensor w = Tensor::normal({kFeat, kClasses}, rng);
+  const Tensor dy = Tensor::normal({kRows, kClasses}, rng);
+  Tensor y({kRows, kClasses}), dw({kFeat, kClasses}), dx({kRows, kFeat});
+  const int which = static_cast<int>(state.range(1));
+  const float* out = which == 0 ? y.data() : which == 1 ? dw.data() : dx.data();
+  set_isa_override(rung);
+  state.SetLabel(gemm_f32_arm());
+  for (auto _ : state) {
+    switch (which) {
+      case 0: gemm(x, false, w, false, y); break;
+      case 1: gemm(x, true, dy, false, dw, 1.f, 1.f); break;
+      default: gemm(dy, false, w, true, dx); break;
+    }
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  clear_isa_override();
+  state.SetItemsProcessed(state.iterations() * 2 * kRows * kFeat * kClasses);
+}
+BENCHMARK(BM_GemmF32Ladder)->ArgsProduct({{0, 2, 3}, {0, 1, 2}});
 
 // The serving testbed's first Linear at a saturated micro-batch — the
 // kernel ladder's acceptance shape (AVX2 >= 1.5x SSE2 here).

@@ -24,8 +24,9 @@
 #                              race detector); the machine-relative gate
 #                              still calibrates this runner's own baseline
 #   PPGNN_ISA=scalar|sse2|avx2|avx512vnni
-#                              force one arm of the INT8 GEMM kernel ladder
-#                              (docs/kernels.md) for the whole gate: ctest,
+#                              force one arm of the INT8 GEMM kernel ladder,
+#                              and with it the fp32 GEMM arm
+#                              (docs/kernels.md), for the whole gate: ctest,
 #                              the serving smokes and the benches all run
 #                              with the dispatch pinned to that arm.  If the
 #                              runner's CPU cannot execute the requested arm
@@ -94,6 +95,8 @@ if [[ -n "${PPGNN_ISA:-}" ]]; then
     exit 0
   fi
   export PPGNN_ISA
+  # Logs the int8 arm and the fp32 GEMM arm this leg forces.
+  ./build/isa_probe_cli
 fi
 
 echo "== tier-1 tests =="

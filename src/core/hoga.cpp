@@ -26,8 +26,8 @@ Tensor Hoga::forward(const Tensor& batch, bool train) {
   batch_rows_ = batch.rows();
   // The hop-major expanded row layout [hop0 | ... | hopR] is exactly a
   // [b*tokens, F] matrix — one shared projection GEMM covers all tokens.
-  const Tensor x2 = batch.reshaped({batch_rows_ * tokens, cfg_.feat_dim});
-  Tensor t = proj_.forward(x2, train);
+  Tensor t = proj_.forward(
+      batch.reshaped({batch_rows_ * tokens, cfg_.feat_dim}), train);
   Tensor n = norm_.forward(t, train);
   Tensor a = attn_.forward(n.reshaped({batch_rows_, tokens, cfg_.hidden}),
                            train)
@@ -70,7 +70,7 @@ void Hoga::backward(const Tensor& grad_logits) {
           .reshaped({batch_rows_ * tokens, cfg_.hidden});
   Tensor d_t = norm_.backward(d_norm);
   add_inplace(d_t, d_res);  // skip-path gradient
-  (void)proj_.backward(d_t);
+  proj_.backward_params(d_t);
 }
 
 void Hoga::collect_params(std::vector<nn::ParamSlot>& out) {

@@ -15,7 +15,7 @@ Tensor Sgc::forward(const Tensor& batch, bool train) {
 }
 
 void Sgc::backward(const Tensor& grad_logits) {
-  (void)linear_.backward(grad_logits);
+  linear_.backward_params(grad_logits);
 }
 
 void Sgc::collect_params(std::vector<nn::ParamSlot>& out) {

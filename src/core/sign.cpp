@@ -65,7 +65,7 @@ void Sign::backward(const Tensor& grad_logits) {
   for (std::size_t h = 0; h <= cfg_.hops; ++h) {
     Tensor g = branch_drops_[h]->backward(grads[h]);
     g = branch_relus_[h]->backward(g);
-    (void)branches_[h]->backward(g);
+    branches_[h]->backward_params(g);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "core/ssgc.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -29,13 +30,13 @@ Tensor Ssgc::forward(const Tensor& batch, bool train) {
     const Tensor hop = slice_hop(batch, r, feat_dim_);
     axpy(w, hop, h);
   }
-  return linear_.forward(h, train);
+  return linear_.forward(std::move(h), train);
 }
 
 void Ssgc::backward(const Tensor& grad_logits) {
   // The hop average is a fixed linear map of the (constant) input batch, so
   // only the linear layer accumulates gradients.
-  (void)linear_.backward(grad_logits);
+  linear_.backward_params(grad_logits);
 }
 
 void Ssgc::collect_params(std::vector<nn::ParamSlot>& out) {

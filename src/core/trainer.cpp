@@ -125,14 +125,16 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
         return source.assemble_baseline(k);
       case LoadingMode::kStorageChunk: {
         // Read the batch as contiguous runs from the file store (chunk
-        // reshuffling makes batches mostly contiguous on disk).
+        // reshuffling makes batches mostly contiguous on disk), each run
+        // straight into its rows of the batch.
         loader::MiniBatch mb;
         const auto& order = source.epoch_order();
         const std::size_t lo = k * cfg.batch_size;
         const std::size_t hi =
             std::min(lo + cfg.batch_size, order.size());
         mb.indices.assign(order.begin() + lo, order.begin() + hi);
-        mb.features = Tensor({mb.indices.size(), store->row_bytes() / 4});
+        mb.features =
+            Tensor({mb.indices.size(), store->num_hops() * store->hop_dim()});
         std::size_t i = 0;
         while (i < mb.indices.size()) {
           std::size_t run = 1;
@@ -140,10 +142,8 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
                  mb.indices[i + run] == mb.indices[i + run - 1] + 1) {
             ++run;
           }
-          Tensor piece({run, store->row_bytes() / 4});
           store->read_chunk(static_cast<std::size_t>(mb.indices[i]), run,
-                            piece);
-          std::memcpy(mb.features.row(i), piece.data(), piece.bytes());
+                            mb.features.row(i));
           i += run;
         }
         mb.labels.resize(mb.indices.size());

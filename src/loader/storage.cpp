@@ -2,10 +2,12 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -25,9 +27,13 @@ std::string hop_path(const std::string& dir, std::size_t hop) {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
-void pread_exact(int fd, void* buf, std::size_t count, off_t offset) {
+// Reads exactly `count` bytes at `offset`, looping over short reads;
+// every syscall adds one to `calls`.  EOF before `count` bytes throws.
+void pread_exact(int fd, void* buf, std::size_t count, off_t offset,
+                 std::atomic<std::uint64_t>& calls) {
   auto* p = static_cast<char*>(buf);
   while (count > 0) {
+    calls.fetch_add(1, std::memory_order_relaxed);
     const ssize_t r = ::pread(fd, p, count, offset);
     if (r < 0) {
       if (errno == EINTR) continue;
@@ -37,6 +43,39 @@ void pread_exact(int fd, void* buf, std::size_t count, off_t offset) {
     p += r;
     count -= static_cast<std::size_t>(r);
     offset += r;
+  }
+}
+
+// As pread_exact, scattering into iov[0, n) (consumed: entries are
+// advanced past what each call read).  Each syscall takes at most IOV_MAX
+// entries.
+void preadv_exact(int fd, iovec* iov, std::size_t n, off_t offset,
+                  std::atomic<std::uint64_t>& calls) {
+  while (n > 0 && iov->iov_len == 0) {
+    ++iov;
+    --n;
+  }
+  while (n > 0) {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t r = ::preadv(fd, iov, static_cast<int>(std::min<std::size_t>(
+                                            n, IOV_MAX)),
+                               offset);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("preadv");
+    }
+    if (r == 0) throw std::runtime_error("preadv: unexpected EOF");
+    offset += r;
+    auto done = static_cast<std::size_t>(r);
+    while (n > 0 && done >= iov->iov_len) {
+      done -= iov->iov_len;
+      ++iov;
+      --n;
+    }
+    if (done > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + done;
+      iov->iov_len -= done;
+    }
   }
 }
 
@@ -165,22 +204,24 @@ FeatureFileStore::~FeatureFileStore() {
 }
 
 void FeatureFileStore::read_hop_run(std::size_t h, std::size_t row0,
-                                    std::size_t count, float* dst) const {
+                                    std::size_t count, float* dst,
+                                    std::size_t stride) const {
   const std::size_t rec = hop_row_bytes();
-  preads_.fetch_add(1, std::memory_order_relaxed);
+  const auto offset = static_cast<off_t>(row0 * rec);
   if (codec_ == RowCodec::kFp32) {
-    pread_exact(fds_[h], dst, count * rec, static_cast<off_t>(row0 * rec));
+    std::vector<iovec> iov(count);
+    for (std::size_t i = 0; i < count; ++i) iov[i] = {dst + i * stride, rec};
+    preadv_exact(fds_[h], iov.data(), count, offset, preads_);
     return;
   }
   std::vector<char> buf(count * rec);
-  pread_exact(fds_[h], buf.data(), buf.size(),
-              static_cast<off_t>(row0 * rec));
+  pread_exact(fds_[h], buf.data(), buf.size(), offset, preads_);
   for (std::size_t i = 0; i < count; ++i) {
     const char* in = buf.data() + i * rec;
     float scale = 0.f;
     std::memcpy(&scale, in, sizeof(float));
     dequantize_row_s8(reinterpret_cast<const std::int8_t*>(in + sizeof(float)),
-                      dim_, scale, dst + i * dim_);
+                      dim_, scale, dst + i * stride);
   }
 }
 
@@ -192,15 +233,18 @@ void FeatureFileStore::read_chunk(std::size_t row0, std::size_t count,
   if (out.rows() != count || out.cols() != hops_ * dim_) {
     throw std::invalid_argument("read_chunk: bad output shape");
   }
-  // One contiguous pread per hop file, then interleave into the per-row
-  // hop-major layout.
-  std::vector<float> buf(count * dim_);
+  read_chunk(row0, count, out.data());
+}
+
+void FeatureFileStore::read_chunk(std::size_t row0, std::size_t count,
+                                  float* out) const {
+  if (row0 + count > rows_) {
+    throw std::out_of_range("read_chunk: range out of bounds");
+  }
+  // One run per hop file, each row's hop read straight into its slot of
+  // the per-row hop-major layout.
   for (std::size_t h = 0; h < hops_; ++h) {
-    read_hop_run(h, row0, count, buf.data());
-    for (std::size_t i = 0; i < count; ++i) {
-      std::memcpy(out.row(i) + h * dim_, buf.data() + i * dim_,
-                  dim_ * sizeof(float));
-    }
+    read_hop_run(h, row0, count, out + h * dim_, hops_ * dim_);
   }
 }
 
@@ -237,9 +281,8 @@ void FeatureFileStore::read_rows_encoded(
     const std::size_t count = run_last - run_first + 1;
     buf.resize(count * rec);
     for (std::size_t h = 0; h < hops_; ++h) {
-      preads_.fetch_add(1, std::memory_order_relaxed);
       pread_exact(fds_[h], buf.data(), count * rec,
-                  static_cast<off_t>(run_first * rec));
+                  static_cast<off_t>(run_first * rec), preads_);
       for (std::size_t t = i; t <= j; ++t) {
         const auto r = static_cast<std::size_t>(rows[order[t]]);
         std::memcpy(out + order[t] * row_bytes() + h * rec,

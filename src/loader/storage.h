@@ -4,7 +4,10 @@
 // paper splits hops into separate files to expose parallel storage streams.
 // Reading supports two access patterns whose performance gap is the whole
 // point of chunk reshuffling on storage:
-//   - read_chunk: contiguous row ranges, one pread per hop file;
+//   - read_chunk: contiguous row ranges, one preadv per hop file (per
+//     IOV_MAX rows) that scatters each stored row straight into its slot
+//     of the caller's hop-major batch rows — no staging buffer, no copy
+//     (the int8 codec reads into a buffer and decodes into the rows);
 //   - read_rows: row-granular random access.  Row ids are sorted per call
 //     and adjacent/duplicate runs coalesce into one pread per run, so a
 //     hub-heavy serving micro-batch costs far fewer syscalls than one
@@ -67,6 +70,9 @@ class FeatureFileStore {
   // and lays them out hop-major within each output row (hop 0 first) —
   // matching the in-memory expanded layout of core::Preprocessed.
   void read_chunk(std::size_t row0, std::size_t count, Tensor& out) const;
+  // As above, into `count` consecutive rows of hops*dim floats at `out`
+  // (e.g. a run of rows inside a larger batch).
+  void read_chunk(std::size_t row0, std::size_t count, float* out) const;
 
   // Random row-granular access: out[i] = concatenated hops of rows[i].
   // Sorts the ids and issues one pread per run of adjacent/duplicate rows
@@ -86,8 +92,8 @@ class FeatureFileStore {
   // exactly as read_rows would.
   void decode_row(const std::uint8_t* enc, float* out) const;
 
-  // Cumulative pread syscalls issued by this store (all threads).  The
-  // serving bench reports the delta per micro-batch to show what run
+  // Cumulative pread/preadv syscalls issued by this store (all threads).
+  // The serving bench reports the delta per micro-batch to show what run
   // coalescing saves over the historical one-pread-per-row-per-hop.
   std::uint64_t preads() const {
     return preads_.load(std::memory_order_relaxed);
@@ -95,10 +101,11 @@ class FeatureFileStore {
 
  private:
   FeatureFileStore() = default;
-  // Decodes `count` stored rows starting at `row0` from hop `h` into
-  // consecutive fp32 rows of `dst` (stride dim_ floats), one pread.
+  // Reads `count` stored rows starting at `row0` from hop `h` as fp32 into
+  // dst, dst + stride, ...: one preadv per IOV_MAX rows for kFp32, one
+  // pread plus decode for kInt8 (short reads loop; EOF throws).
   void read_hop_run(std::size_t h, std::size_t row0, std::size_t count,
-                    float* dst) const;
+                    float* dst, std::size_t stride) const;
 
   std::string dir_;
   std::size_t rows_ = 0, hops_ = 0, dim_ = 0;

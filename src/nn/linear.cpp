@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "tensor/ops.h"
 
@@ -31,6 +32,16 @@ Tensor Linear::forward(const Tensor& x, bool train) {
     return y;
   }
   if (train) cached_input_ = x;
+  return affine(x);
+}
+
+Tensor Linear::forward(Tensor&& x, bool train) {
+  if (!train) return forward(x, false);
+  cached_input_ = std::move(x);
+  return affine(cached_input_);
+}
+
+Tensor Linear::affine(const Tensor& x) const {
   Tensor y = matmul(x, weight_);
   if (!bias_.empty()) add_row_vector(y, bias_);
   return y;
@@ -38,13 +49,17 @@ Tensor Linear::forward(const Tensor& x, bool train) {
 
 Tensor Linear::backward(const Tensor& grad_out) {
   // dW += X^T dY, db += sum_rows(dY), dX = dY W^T.
+  backward_params(grad_out);
+  return matmul_nt(grad_out, weight_);
+}
+
+void Linear::backward_params(const Tensor& grad_out) {
   gemm(cached_input_, true, grad_out, false, grad_weight_, 1.f, 1.f);
   if (!bias_.empty()) {
     Tensor db({bias_.size()});
     sum_rows(grad_out, db);
     add_inplace(grad_bias_, db);
   }
-  return matmul_nt(grad_out, weight_);
 }
 
 void Linear::collect_params(std::vector<ParamSlot>& out) {

@@ -27,7 +27,13 @@ class Linear : public Module {
          bool use_bias = true);
 
   Tensor forward(const Tensor& x, bool train) override;
+  // As above, but a training forward keeps x itself as the saved input
+  // instead of a copy of it.
+  Tensor forward(Tensor&& x, bool train);
   Tensor backward(const Tensor& grad_out) override;
+  // The parameter half of backward(): accumulates dW and db but computes
+  // no input gradient, for input layers whose input is data.
+  void backward_params(const Tensor& grad_out);
   void collect_params(std::vector<ParamSlot>& out) override;
   void collect_linears(std::vector<Linear*>& out) override {
     out.push_back(this);
@@ -53,6 +59,8 @@ class Linear : public Module {
   }
 
  private:
+  Tensor affine(const Tensor& x) const;  // x @ W + b, fp32
+
   Tensor weight_;       // [in, out]
   Tensor bias_;         // [out] (empty when bias disabled)
   Tensor grad_weight_;

@@ -1,4 +1,4 @@
-// Runtime ISA selection for the INT8 serving GEMM kernel ladder.
+// Runtime ISA selection for the INT8 serving and fp32 GEMM kernel ladders.
 //
 // The ladder (tensor/quant.h, docs/kernels.md) has four arms —
 //
@@ -12,6 +12,10 @@
 // this; there is no error-bound escape hatch).  Which arm runs is decided
 // ONCE, at quantize_per_row() time: the weight matrix is packed into the
 // selected arm's layout and gemm_s8_nt dispatches on that layout.
+//
+// The fp32 GEMM (tensor/ops.h) follows the same rung on every call, with
+// its own arms: avx512vnni runs its AVX-512 arm, avx2 its AVX2 arm, sse2
+// and scalar its scalar oracle (gemm_f32_arm() names the choice).
 //
 // Selection = min(requested, what this CPU+OS can run), in ladder order:
 // requesting an arm the host lacks degrades to the widest arm below it,

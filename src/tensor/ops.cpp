@@ -4,8 +4,11 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 
+#include "tensor/cpu_features.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/parallel.h"
 #include "tensor/rng.h"
 
@@ -35,7 +38,88 @@ MatView view(const Tensor& t, bool trans) {
   return {t.data(), t.cols(), t.rows(), 1, t.cols()};
 }
 
+// Scalar oracle: rows [i0, i1) of C.  Every wide arm repeats, per output,
+// exactly the arithmetic of these loops (tensor/gemm_kernels.h).
+void gemm_rows_scalar(const MatView& A, bool trans_a, const MatView& B,
+                      bool trans_b, float* C, float alpha, float beta,
+                      std::size_t i0, std::size_t i1) {
+  const std::size_t m = A.r, k = A.c, n = B.c;
+  for (std::size_t i = i0; i < i1; ++i) {
+    float* crow = C + i * n;
+    if (beta == 0.f) {
+      std::fill(crow, crow + n, 0.f);
+    } else if (beta != 1.f) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+    }
+    if (!trans_a && !trans_b) {
+      const float* arow = A.p + i * k;
+      for (std::size_t l = 0; l < k; ++l) {
+        const float av = alpha * arow[l];
+        if (av == 0.f) continue;
+        const float* brow = B.p + l * n;
+        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+    } else if (trans_a && !trans_b) {
+      for (std::size_t l = 0; l < k; ++l) {
+        const float av = alpha * A.p[l * m + i];  // A logical (i,l) = phys (l,i)
+        if (av == 0.f) continue;
+        const float* brow = B.p + l * n;
+        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+    } else {
+      // B transposed: dot products over contiguous B rows.
+      for (std::size_t j = 0; j < n; ++j) {
+        float acc = 0.f;
+        if (!trans_a) {
+          const float* arow = A.p + i * k;
+          const float* brow = B.p + j * k;  // B logical (l,j) = phys (j,l)
+          for (std::size_t l = 0; l < k; ++l) acc += arow[l] * brow[l];
+        } else {
+          for (std::size_t l = 0; l < k; ++l) acc += A.at(i, l) * B.at(l, j);
+        }
+        crow[j] += alpha * acc;
+      }
+    }
+  }
+}
+
+// The wide arms of the fp32 ladder, keyed on the int8 ladder's rungs:
+// avx512vnni runs the AVX-512 arm, avx2 the AVX2 arm, sse2 and scalar the
+// oracle above.
+struct F32Arm {
+  const char* name;
+  void (*update)(const detail::GemmF32Args&, bool, std::size_t, std::size_t);
+  void (*dot)(const detail::GemmF32Args&, std::size_t, std::size_t);
+  bool (*no_zero)(const float*, std::size_t);
+};
+
+const F32Arm* wide_arm(Isa isa) {
+  static constexpr F32Arm kAvx512{"avx512", &detail::gemm_f32_update_avx512,
+                                  &detail::gemm_f32_dot_avx512,
+                                  &detail::gemm_f32_no_zero_avx512};
+  static constexpr F32Arm kAvx2{"avx2", &detail::gemm_f32_update_avx2,
+                                &detail::gemm_f32_dot_avx2,
+                                &detail::gemm_f32_no_zero_avx2};
+  if (isa >= Isa::kAvx512Vnni && detail::have_avx512_f32_kernel()) {
+    return &kAvx512;
+  }
+  if (isa >= Isa::kAvx2 && detail::have_avx2_f32_kernel()) return &kAvx2;
+  return nullptr;
+}
+
+// Rows are handed out in blocks of the wide arms' register tile height.
+constexpr std::size_t kRowBlock = 4;
+// Multiply-adds below which a GEMM stays on the calling thread: on a
+// 4-vCPU Sapphire Rapids host the AVX-512 arm gains nothing from the pool
+// below about this size, where the fork-join costs as much as it saves.
+constexpr std::size_t kParallelFloor = std::size_t{1} << 20;
+
 }  // namespace
+
+const char* gemm_f32_arm() {
+  const F32Arm* arm = wide_arm(active_isa());
+  return arm ? arm->name : "scalar";
+}
 
 void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           Tensor& c, float alpha, float beta) {
@@ -50,47 +134,37 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   }
   float* C = c.data();
 
-  // Fast path: no transposes — row-major friendly i-k-j loop with 4-wide j
-  // unrolling; the compiler vectorizes the inner loop.
-  parallel_for(m, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      float* crow = C + i * n;
-      if (beta == 0.f) {
-        std::fill(crow, crow + n, 0.f);
-      } else if (beta != 1.f) {
-        for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-      }
-      if (!trans_a && !trans_b) {
-        const float* arow = A.p + i * k;
-        for (std::size_t l = 0; l < k; ++l) {
-          const float av = alpha * arow[l];
-          if (av == 0.f) continue;
-          const float* brow = B.p + l * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      } else if (trans_a && !trans_b) {
-        for (std::size_t l = 0; l < k; ++l) {
-          const float av = alpha * A.p[l * m + i];  // A logical (i,l) = phys (l,i)
-          if (av == 0.f) continue;
-          const float* brow = B.p + l * n;
-          for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      } else {
-        // B transposed: dot products over contiguous B rows.
-        for (std::size_t j = 0; j < n; ++j) {
-          float acc = 0.f;
-          if (!trans_a) {
-            const float* arow = A.p + i * k;
-            const float* brow = B.p + j * k;  // B logical (l,j) = phys (j,l)
-            for (std::size_t l = 0; l < k; ++l) acc += arow[l] * brow[l];
-          } else {
-            for (std::size_t l = 0; l < k; ++l) acc += A.at(i, l) * B.at(l, j);
-          }
-          crow[j] += alpha * acc;
-        }
-      }
+  std::function<void(std::size_t, std::size_t)> rows;
+  std::vector<float> bt;  // B^T row-major for the transposed-B arms
+  const F32Arm* arm = wide_arm(active_isa());
+  detail::GemmF32Args g{A.p, A.rs, A.cs, B.p, C, m, k, n, alpha, beta};
+  if (arm == nullptr) {
+    rows = [&](std::size_t i0, std::size_t i1) {
+      gemm_rows_scalar(A, trans_a, B, trans_b, C, alpha, beta, i0, i1);
+    };
+  } else if (trans_b) {
+    bt.resize(k * n);
+    for (std::size_t l = 0; l < k; ++l) {
+      for (std::size_t j = 0; j < n; ++j) bt[l * n + j] = B.at(l, j);
     }
-  }, /*grain=*/8);
+    g.b = bt.data();
+    rows = [&](std::size_t i0, std::size_t i1) { arm->dot(g, i0, i1); };
+  } else {
+    // A holds exactly the m * k values the update form reads.
+    const bool dense = alpha == 1.f && arm->no_zero(A.p, m * k);
+    rows = [&, dense](std::size_t i0, std::size_t i1) {
+      arm->update(g, dense, i0, i1);
+    };
+  }
+  const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
+  const auto run = [&](std::size_t b0, std::size_t b1) {
+    rows(b0 * kRowBlock, std::min(m, b1 * kRowBlock));
+  };
+  if (m * n * k < kParallelFloor) {
+    run(0, blocks);
+  } else {
+    parallel_for(blocks, run, /*grain=*/2);
+  }
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

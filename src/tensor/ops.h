@@ -1,10 +1,9 @@
 // Dense kernels shared by the NN layers, samplers and models.
 //
 // All kernels are CPU implementations parallelized over the leading
-// dimension with the global thread pool.  GEMM is a register-blocked
-// microkernel — not BLAS-fast, but fast enough that the real-training
-// experiments (accuracy / convergence figures) complete in seconds on the
-// scaled-down synthetic datasets.
+// dimension with the global thread pool.  GEMM is a runtime-dispatched
+// ladder (docs/kernels.md): a scalar oracle plus AVX2 and AVX-512 arms
+// that hold tiles of C in registers and are bit-identical to it.
 #pragma once
 
 #include <cstdint>
@@ -19,8 +18,12 @@ class Rng;
 // ---------------------------------------------------------------------------
 // GEMM: C = alpha * op(A) @ op(B) + beta * C.
 // op(A) is [m, k], op(B) is [k, n], C is [m, n]; dimensions are validated.
+// The arm follows active_isa() (tensor/cpu_features.h); every arm runs
+// each output's operations in the scalar oracle's order, on any pool size.
 void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           Tensor& c, float alpha = 1.f, float beta = 0.f);
+// The arm gemm() dispatches to right now: "avx512", "avx2" or "scalar".
+const char* gemm_f32_arm();
 
 // Convenience allocating wrappers.
 Tensor matmul(const Tensor& a, const Tensor& b);                 // A @ B

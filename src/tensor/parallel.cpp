@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 namespace ppgnn {
 
@@ -45,13 +46,24 @@ void ThreadPool::worker_loop(std::size_t worker_id) {
     }
     if (task.fn != nullptr && task.begin < task.end) {
       t_in_parallel_region = true;
-      (*task.fn)(task.begin, task.end);
+      run_part(*task.fn, task.begin, task.end);
       t_in_parallel_region = false;
     }
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (--pending_ == 0) cv_done_.notify_one();
     }
+  }
+}
+
+void ThreadPool::run_part(
+    const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t begin, std::size_t end) {
+  try {
+    fn(begin, end);
+  } catch (...) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!error_) error_ = std::current_exception();
   }
 }
 
@@ -89,12 +101,15 @@ void ThreadPool::parallel_for(
     ++epoch_;
   }
   cv_work_.notify_all();
-  fn(0, std::min(n, chunk));
+  run_part(fn, 0, std::min(n, chunk));
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [&] { return pending_ == 0; });
+    error = std::exchange(error_, nullptr);
   }
   t_in_parallel_region = false;
+  if (error) std::rethrow_exception(error);
 }
 
 ThreadPool& global_pool() {

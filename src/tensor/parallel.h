@@ -8,6 +8,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -34,6 +35,10 @@ class ThreadPool {
   // while another is in flight (e.g. from the prefetcher thread while the
   // trainer runs a GEMM) executes fn(0, n) serially on the calling thread
   // instead of deadlocking on the shared workers.
+  //
+  // Exceptions: if fn throws in any part, the call still waits for every
+  // part to finish, then rethrows the first exception caught on the
+  // calling thread; the pool stays usable.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -45,6 +50,9 @@ class ThreadPool {
   };
 
   void worker_loop(std::size_t worker_id);
+  // Runs one part, recording an exception instead of letting it escape.
+  void run_part(const std::function<void(std::size_t, std::size_t)>& fn,
+                std::size_t begin, std::size_t end);
 
   std::vector<std::thread> workers_;
   std::mutex submit_mu_;  // held for the duration of one parallel_for
@@ -54,6 +62,7 @@ class ThreadPool {
   std::vector<Task> tasks_;        // one slot per worker
   std::size_t epoch_ = 0;          // incremented per parallel_for call
   std::size_t pending_ = 0;        // tasks not yet finished this epoch
+  std::exception_ptr error_;       // first exception this epoch
   bool stop_ = false;
 };
 

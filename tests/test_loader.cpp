@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <numeric>
 #include <unordered_set>
+#include <utility>
 
 #include "loader/host_loader.h"
 #include "loader/placement.h"
@@ -269,6 +272,92 @@ TEST_F(StorageTest, BoundsChecked) {
   EXPECT_THROW(store.read_rows({50}, rows), std::out_of_range);
   EXPECT_THROW(store.read_rows({-1}, rows), std::out_of_range);
 }
+
+// A store larger than one preadv's IOV_MAX (1,024) iovecs per hop run,
+// in both codecs.
+class StoreReadTest : public ::testing::TestWithParam<RowCodec> {
+ protected:
+  void SetUp() override {
+    Rng rng(13);
+    for (int h = 0; h < 3; ++h) hops_.push_back(Tensor::normal({2500, 5}, rng));
+    dir_ = ::testing::TempDir() + "/ppgnn_store_read_" +
+           codec_name(GetParam());
+  }
+  static std::vector<std::int64_t> ids(std::size_t lo, std::size_t hi) {
+    std::vector<std::int64_t> v(hi - lo);
+    std::iota(v.begin(), v.end(), static_cast<std::int64_t>(lo));
+    return v;
+  }
+  static void expect_same_bytes(const Tensor& got, const Tensor& want) {
+    ASSERT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), want.bytes()), 0);
+  }
+  std::vector<Tensor> hops_;
+  std::string dir_;
+};
+
+TEST_P(StoreReadTest, ChunkReadsEqualRowReadsAcrossIovMaxAndShortLastChunk) {
+  const auto store = FeatureFileStore::create(dir_, hops_, GetParam());
+  const std::size_t width = 3 * 5;
+  // One run past two IOV_MAX boundaries, then 1,024-row batches whose
+  // last one is short (452 rows).
+  for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 2500},
+                               {0, 1024}, {1024, 2048}, {2048, 2500},
+                               {7, 8}}) {
+    SCOPED_TRACE(std::to_string(lo) + ".." + std::to_string(hi));
+    Tensor chunk({hi - lo, width}), rows({hi - lo, width});
+    store.read_chunk(lo, hi - lo, chunk);
+    store.read_rows(ids(lo, hi), rows);
+    expect_same_bytes(chunk, rows);
+  }
+}
+
+TEST_P(StoreReadTest, RunsReadStraightIntoBatchRows) {
+  // The trainer's storage assemble: several runs into one batch tensor.
+  const auto store = FeatureFileStore::create(dir_, hops_, GetParam());
+  std::vector<std::int64_t> batch = ids(300, 1400);  // 1,100 rows
+  const std::vector<std::int64_t> tail = ids(2490, 2500);
+  batch.insert(batch.end(), tail.begin(), tail.end());
+  Tensor got({batch.size(), 15}), want({batch.size(), 15});
+  store.read_chunk(300, 1100, got.row(0));
+  store.read_chunk(2490, 10, got.row(1100));
+  store.read_rows(batch, want);
+  expect_same_bytes(got, want);
+}
+
+TEST_P(StoreReadTest, PreadsCountOneSyscallEach) {
+  const auto store = FeatureFileStore::create(dir_, hops_, GetParam());
+  Tensor out({2500, 15});
+  std::uint64_t before = store.preads();
+  store.read_chunk(0, 1024, out.row(0));  // one call per hop
+  EXPECT_EQ(store.preads() - before, 3u);
+  before = store.preads();
+  store.read_chunk(0, 2500, out);
+  // fp32 scatters each row with its own iovec, IOV_MAX per preadv: three
+  // calls per hop; int8 reads each hop run into one buffer.
+  EXPECT_EQ(store.preads() - before,
+            GetParam() == RowCodec::kFp32 ? 9u : 3u);
+}
+
+TEST_P(StoreReadTest, TruncatedHopFileThrowsInsteadOfPartialBatch) {
+  const auto store = FeatureFileStore::create(dir_, hops_, GetParam());
+  const auto path = dir_ + "/hop_2.bin";
+  // Mid-record, 1,500 rows in: a chunk across the cut gets a short read
+  // and then EOF.
+  std::filesystem::resize_file(path,
+                               1500 * store.hop_row_bytes() + 3);
+  Tensor out({1024, 15});
+  EXPECT_THROW(store.read_chunk(1024, 1024, out), std::runtime_error);
+  EXPECT_THROW(store.read_chunk(2000, 100, out.row(0)), std::runtime_error);
+  Tensor ok({1024, 15});
+  store.read_chunk(0, 1024, ok);  // before the cut: still readable
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, StoreReadTest,
+                         ::testing::Values(RowCodec::kFp32, RowCodec::kInt8),
+                         [](const auto& info) {
+                           return std::string(codec_name(info.param));
+                         });
 
 TEST_F(StorageTest, CreateValidatesShapes) {
   hops_.push_back(Tensor({50, 7}));  // wrong dim

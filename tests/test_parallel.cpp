@@ -3,10 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
+
+#include "tensor/ops.h"
 
 namespace ppgnn {
 namespace {
+
+// A 3-thread global pool (caller plus two workers) unless the environment
+// already chose a size; set before anything touches global_pool().
+const bool g_pool_pinned = [] {
+  ::setenv("PPGNN_NUM_THREADS", "3", 0);
+  return true;
+}();
 
 TEST(ThreadPool, CoversFullRangeExactlyOnce) {
   ThreadPool pool(4);
@@ -97,6 +111,60 @@ TEST(ParallelForHelper, SmallNRunsSerial) {
   }, /*grain=*/100);
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0], std::make_pair(std::size_t{0}, std::size_t{10}));
+}
+
+// Distinct threads that ran a part of one global parallel_for.
+std::size_t threads_in_parallel_for() {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(4096, [&](std::size_t, std::size_t) {
+    std::lock_guard<std::mutex> lk(mu);
+    ids.insert(std::this_thread::get_id());
+  }, /*grain=*/1);
+  return ids.size();
+}
+
+// gather_rows over 4,096 indices with one out of range at `bad`: the
+// exception reaches the caller only after every part finished, and the
+// pool still splits the next parallel_for across its threads.
+void expect_gather_throws_and_pool_recovers(std::size_t bad) {
+  ASSERT_TRUE(g_pool_pinned);
+  if (global_pool().size() < 2) GTEST_SKIP() << "needs a pool with workers";
+  const Tensor src = Tensor::full({64, 8}, 1.f);
+  std::vector<std::int64_t> idx(4096);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    idx[i] = static_cast<std::int64_t>(i % 64);
+  }
+  idx[bad] = 64;
+  Tensor out({idx.size(), 8});
+  EXPECT_THROW(gather_rows(src, idx, out), std::out_of_range);
+  EXPECT_GT(threads_in_parallel_for(), 1u);
+  idx[bad] = 3;
+  gather_rows(src, idx, out);
+  EXPECT_EQ(out.at(bad, 7), 1.f);
+}
+
+TEST(ThreadPool, ExceptionInCallerPartIsRethrownAfterWorkersFinish) {
+  expect_gather_throws_and_pool_recovers(0);  // part 0 runs on the caller
+}
+
+TEST(ThreadPool, ExceptionInWorkerPartIsRethrownOnCaller) {
+  expect_gather_throws_and_pool_recovers(4095);  // the last part: a worker
+}
+
+TEST(ThreadPool, FirstOfSeveralExceptionsIsRethrown) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  EXPECT_THROW(pool.parallel_for(4, [&](std::size_t lo, std::size_t) {
+    ++finished;
+    throw std::runtime_error("part " + std::to_string(lo));
+  }), std::runtime_error);
+  EXPECT_EQ(finished.load(), 4);  // every part ran before the rethrow
+  std::atomic<std::size_t> total{0};
+  pool.parallel_for(1000, [&](std::size_t lo, std::size_t hi) {
+    total += hi - lo;
+  });
+  EXPECT_EQ(total.load(), 1000u);
 }
 
 TEST(GlobalPool, IsSingleton) {

@@ -5,6 +5,7 @@
 #include "core/sign.h"
 #include "core/trainer.h"
 #include "graph/dataset.h"
+#include "tensor/cpu_features.h"
 
 namespace ppgnn::core {
 namespace {
@@ -127,6 +128,47 @@ TEST(PpTrainer, StorageModeMatchesChunkAccuracy) {
     EXPECT_NEAR(cr.history.epochs[e].train_loss,
                 st.history.epochs[e].train_loss, 1e-5);
   }
+}
+
+TEST(PpTrainer, StorageChunkLossesArePinnedOnEveryGemmArm) {
+  // Per-epoch losses recorded before the fp32 GEMM ladder existed (scalar
+  // loops only).  Every arm repeats those loops' arithmetic, so the
+  // dispatched arm and the forced scalar oracle reproduce them exactly.
+  const auto& f = fixture();
+  const std::vector<double> sgc = {0x1.6fc94accccccdp-1, 0x1.61092f999999ap-1,
+                                   0x1.55c6a3999999ap-1};
+  const std::vector<double> sign = {0x1.787f493333333p-1, 0x1.5b8c753333333p-1,
+                                    0x1.57caeb999999ap-1};
+  for (const bool scalar : {false, true}) {
+    if (scalar) set_isa_override(Isa::kScalar);
+    for (const bool is_sgc : {true, false}) {
+      SCOPED_TRACE(std::string(is_sgc ? "SGC" : "SIGN") +
+                   (scalar ? " scalar" : " dispatched"));
+      Rng rng(31);
+      std::unique_ptr<PpModel> model;
+      if (is_sgc) {
+        model = std::make_unique<Sgc>(f.ds.feature_dim(), 2, f.ds.num_classes,
+                                      rng);
+      } else {
+        model = f.make_model(rng);
+      }
+      PpTrainConfig tc;
+      tc.epochs = 3;
+      tc.batch_size = 128;
+      tc.chunk_size = 128;
+      tc.eval_every = 3;
+      tc.seed = 17;
+      tc.mode = LoadingMode::kStorageChunk;
+      tc.storage_dir = ::testing::TempDir() + "/pp_trainer_pinned_store";
+      const auto r = train_pp(*model, f.pre, f.ds, tc);
+      const std::vector<double>& want = is_sgc ? sgc : sign;
+      ASSERT_EQ(r.history.epochs.size(), want.size());
+      for (std::size_t e = 0; e < want.size(); ++e) {
+        EXPECT_EQ(r.history.epochs[e].train_loss, want[e]) << "epoch " << e;
+      }
+    }
+  }
+  clear_isa_override();
 }
 
 TEST(PpTrainer, PhaseTimingsPopulated) {
