@@ -64,8 +64,10 @@ const CpuProbe& cached_probe() {
   return p;
 }
 
-// kNumIsa = "no override"; an Isa value = forced (already resolved).
-std::atomic<std::uint8_t> g_override{static_cast<std::uint8_t>(kNumIsa)};
+// The arm active_isa() returns, already resolved: forced by
+// set_isa_override() or derived from the environment on first use.
+// kNumIsa = not derived yet (start-up, or after clear_isa_override()).
+std::atomic<std::uint8_t> g_active{static_cast<std::uint8_t>(kNumIsa)};
 
 Isa env_default() {
   const char* env = std::getenv("PPGNN_ISA");
@@ -156,21 +158,26 @@ Isa resolve_isa(Isa requested) {
 }
 
 Isa active_isa() {
-  const std::uint8_t forced = g_override.load(std::memory_order_relaxed);
-  if (forced < kNumIsa) return static_cast<Isa>(forced);
-  // Benign race: env_default() is pure given a fixed environment, so two
-  // first readers compute the same value.
-  return env_default();
+  std::uint8_t isa = g_active.load(std::memory_order_relaxed);
+  if (isa < kNumIsa) return static_cast<Isa>(isa);
+  // Two first readers derive the same value (env_default() is pure given
+  // a fixed environment); an override stored meanwhile wins.
+  const auto derived = static_cast<std::uint8_t>(env_default());
+  if (g_active.compare_exchange_strong(isa, derived,
+                                       std::memory_order_relaxed)) {
+    isa = derived;
+  }
+  return static_cast<Isa>(isa);
 }
 
 void set_isa_override(Isa isa) {
-  g_override.store(static_cast<std::uint8_t>(resolve_isa(isa)),
-                   std::memory_order_relaxed);
+  g_active.store(static_cast<std::uint8_t>(resolve_isa(isa)),
+                 std::memory_order_relaxed);
 }
 
 void clear_isa_override() {
-  g_override.store(static_cast<std::uint8_t>(kNumIsa),
-                   std::memory_order_relaxed);
+  g_active.store(static_cast<std::uint8_t>(kNumIsa),
+                 std::memory_order_relaxed);
 }
 
 }  // namespace ppgnn

@@ -5,9 +5,10 @@
 // skipped step's accumulator bits untouched; column tails use vmaskmov
 // loads and stores.
 //
-// This TU alone is compiled with -mavx2 -ffp-contract=off (CMakeLists.txt)
-// and runs only after the CPUID probe reports AVX2; the contract flag
-// keeps gcc from fusing the mul/add pairs into FMA.
+// This TU is compiled with -mavx2 -ffp-contract=off wherever the avx2
+// int8 TU is compiled (CMakeLists.txt) and runs only on that rung, after
+// the CPUID probe; the contract flag keeps gcc from fusing the mul/add
+// pairs into FMA.
 #include "tensor/gemm_kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -59,40 +60,21 @@ struct Ymm {
 
 }  // namespace
 
-void gemm_f32_update_avx2(const GemmF32Args& g, bool dense, std::size_t i0,
+void gemm_f32_update_avx2(const GemmF32Args& g, std::size_t i0,
                           std::size_t i1) {
-  update_rows<Ymm>(g, dense, i0, i1);
+  rows<Ymm, Form::kUpdate>(g, i0, i1);
 }
 
 void gemm_f32_dot_avx2(const GemmF32Args& g, std::size_t i0, std::size_t i1) {
   rows<Ymm, Form::kDot>(g, i0, i1);
 }
 
-bool gemm_f32_no_zero_avx2(const float* a, std::size_t count) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t t = 0;
-  for (; t + Ymm::kLanes <= count; t += Ymm::kLanes) {
-    const __m256 v = _mm256_loadu_ps(a + t);
-    if (_mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_EQ_OQ)) != 0) {
-      return false;
-    }
-  }
-  for (; t < count; ++t) {
-    if (a[t] == 0.f) return false;
-  }
-  return true;
-}
-
-bool have_avx2_f32_kernel() { return true; }
-
 #else
 
-// Unreachable: the dispatcher checks have_avx2_f32_kernel() first.
-void gemm_f32_update_avx2(const GemmF32Args&, bool, std::size_t,
-                          std::size_t) {}
+// Unreachable: without -mavx2 the avx2 rung is not compiled either, so
+// active_isa() never selects this arm.
+void gemm_f32_update_avx2(const GemmF32Args&, std::size_t, std::size_t) {}
 void gemm_f32_dot_avx2(const GemmF32Args&, std::size_t, std::size_t) {}
-bool gemm_f32_no_zero_avx2(const float*, std::size_t) { return false; }
-bool have_avx2_f32_kernel() { return false; }
 
 #endif
 

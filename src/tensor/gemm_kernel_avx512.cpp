@@ -4,10 +4,11 @@
 // skipped step's accumulator bits untouched, -0 and NaN included; column
 // tails use masked loads and stores.
 //
-// This TU alone is compiled with -mavx512f -ffp-contract=off
-// (CMakeLists.txt) and runs only on the avx512vnni rung, after the
-// CPUID+XGETBV probe; without the contract flag gcc would fuse the
-// mul/add pairs into FMA and break bit-identity with the scalar oracle.
+// This TU gets the avx512vnni int8 TU's flags, -mavx512f -mavx512vnni
+// -ffp-contract=off (CMakeLists.txt), though it uses only AVX-512F, and
+// runs only on that rung, after the CPUID+XGETBV probe; without the
+// contract flag gcc would fuse the mul/add pairs into FMA and break
+// bit-identity with the scalar oracle.
 #include "tensor/gemm_kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -58,9 +59,9 @@ struct Zmm {
 
 }  // namespace
 
-void gemm_f32_update_avx512(const GemmF32Args& g, bool dense,
-                            std::size_t i0, std::size_t i1) {
-  update_rows<Zmm>(g, dense, i0, i1);
+void gemm_f32_update_avx512(const GemmF32Args& g, std::size_t i0,
+                            std::size_t i1) {
+  rows<Zmm, Form::kUpdate>(g, i0, i1);
 }
 
 void gemm_f32_dot_avx512(const GemmF32Args& g, std::size_t i0,
@@ -68,26 +69,12 @@ void gemm_f32_dot_avx512(const GemmF32Args& g, std::size_t i0,
   rows<Zmm, Form::kDot>(g, i0, i1);
 }
 
-bool gemm_f32_no_zero_avx512(const float* a, std::size_t count) {
-  const __m512 zero = _mm512_setzero_ps();
-  for (std::size_t t = 0; t < count; t += Zmm::kLanes) {
-    const Zmm::Tail lanes = Zmm::tail(std::min(Zmm::kLanes, count - t));
-    const __m512 v = _mm512_maskz_loadu_ps(lanes, a + t);
-    if (_mm512_mask_cmp_ps_mask(lanes, v, zero, _CMP_EQ_OQ) != 0) return false;
-  }
-  return true;
-}
-
-bool have_avx512_f32_kernel() { return true; }
-
 #else
 
-// Unreachable: the dispatcher checks have_avx512_f32_kernel() first.
-void gemm_f32_update_avx512(const GemmF32Args&, bool, std::size_t,
-                            std::size_t) {}
+// Unreachable: without these flags the avx512vnni rung is not compiled
+// either, so active_isa() never selects this arm.
+void gemm_f32_update_avx512(const GemmF32Args&, std::size_t, std::size_t) {}
 void gemm_f32_dot_avx512(const GemmF32Args&, std::size_t, std::size_t) {}
-bool gemm_f32_no_zero_avx512(const float*, std::size_t) { return false; }
-bool have_avx512_f32_kernel() { return false; }
 
 #endif
 

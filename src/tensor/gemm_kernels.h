@@ -38,25 +38,16 @@ struct GemmF32Args {
   float alpha = 1.f, beta = 0.f;
 };
 
-// Rows [i0, i1) of C, every column.  *_update_* run the update form;
-// `dense` promises alpha == 1 and no zero in A, so no step is skipped and
-// the arm may drop the skip test.  *_dot_* run the dot form.
-void gemm_f32_update_avx512(const GemmF32Args& g, bool dense, std::size_t i0,
+// Rows [i0, i1) of C, every column.  *_update_* run the update form,
+// *_dot_* the dot form.  Each arm runs only on its rung (avx512vnni,
+// avx2); CMake compiles its TU in the same block as that rung's int8 TU,
+// so a rung that dispatches always carries its fp32 arm.
+void gemm_f32_update_avx512(const GemmF32Args& g, std::size_t i0,
                             std::size_t i1);
 void gemm_f32_dot_avx512(const GemmF32Args& g, std::size_t i0,
                          std::size_t i1);
-void gemm_f32_update_avx2(const GemmF32Args& g, bool dense, std::size_t i0,
+void gemm_f32_update_avx2(const GemmF32Args& g, std::size_t i0,
                           std::size_t i1);
 void gemm_f32_dot_avx2(const GemmF32Args& g, std::size_t i0, std::size_t i1);
-
-// Whether a[t] != 0 for every t < count (NaN counts as nonzero, as in the
-// oracle's `av == 0` test).
-bool gemm_f32_no_zero_avx512(const float* a, std::size_t count);
-bool gemm_f32_no_zero_avx2(const float* a, std::size_t count);
-
-// Whether this binary carries the arm (architecture plus the per-TU -m
-// flags CMake sets).
-bool have_avx512_f32_kernel();
-bool have_avx2_f32_kernel();
 
 }  // namespace ppgnn::detail

@@ -28,10 +28,8 @@ namespace {
 
 constexpr std::size_t kRows = 4;
 
-// kDense is the update form when alpha == 1 and no a is zero, so no step
-// is skipped (the dispatcher decides with *_no_zero); kUpdate is the
-// general update form; kDot the dot form.
-enum class Form { kDense, kUpdate, kDot };
+// The two operation orders of gemm_kernels.h.
+enum class Form { kUpdate, kDot };
 
 // Rows [i, i + R) by registers [0, W) of the column tile starting at j.
 template <class V, std::size_t R, std::size_t W, Form F>
@@ -77,7 +75,7 @@ void tile(const GemmF32Args& g, std::size_t i, std::size_t j,
         for (std::size_t w = 0; w < W; ++w) {
           acc[r][w] = V::add_live(acc[r][w], live, V::mul(av, b[w]));
         }
-      } else {  // kDense, kDot: every step adds
+      } else {  // kDot: every step adds
 #pragma GCC unroll 4
         for (std::size_t w = 0; w < W; ++w) {
           acc[r][w] = V::add(acc[r][w], V::mul(av, b[w]));
@@ -124,16 +122,6 @@ void rows(const GemmF32Args& g, std::size_t i0, std::size_t i1) {
       tiles<V, kRows, F>(g, i, j, vecs, tail);
     }
     for (; i < i1; ++i) tiles<V, 1, F>(g, i, j, vecs, tail);
-  }
-}
-
-template <class V>
-void update_rows(const GemmF32Args& g, bool dense, std::size_t i0,
-                 std::size_t i1) {
-  if (dense) {
-    rows<V, Form::kDense>(g, i0, i1);
-  } else {
-    rows<V, Form::kUpdate>(g, i0, i1);
   }
 }
 

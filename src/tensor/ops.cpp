@@ -88,30 +88,26 @@ void gemm_rows_scalar(const MatView& A, bool trans_a, const MatView& B,
 // oracle above.
 struct F32Arm {
   const char* name;
-  void (*update)(const detail::GemmF32Args&, bool, std::size_t, std::size_t);
+  void (*update)(const detail::GemmF32Args&, std::size_t, std::size_t);
   void (*dot)(const detail::GemmF32Args&, std::size_t, std::size_t);
-  bool (*no_zero)(const float*, std::size_t);
 };
 
 const F32Arm* wide_arm(Isa isa) {
   static constexpr F32Arm kAvx512{"avx512", &detail::gemm_f32_update_avx512,
-                                  &detail::gemm_f32_dot_avx512,
-                                  &detail::gemm_f32_no_zero_avx512};
+                                  &detail::gemm_f32_dot_avx512};
   static constexpr F32Arm kAvx2{"avx2", &detail::gemm_f32_update_avx2,
-                                &detail::gemm_f32_dot_avx2,
-                                &detail::gemm_f32_no_zero_avx2};
-  if (isa >= Isa::kAvx512Vnni && detail::have_avx512_f32_kernel()) {
-    return &kAvx512;
-  }
-  if (isa >= Isa::kAvx2 && detail::have_avx2_f32_kernel()) return &kAvx2;
+                                &detail::gemm_f32_dot_avx2};
+  if (isa >= Isa::kAvx512Vnni) return &kAvx512;
+  if (isa >= Isa::kAvx2) return &kAvx2;
   return nullptr;
 }
 
 // Rows are handed out in blocks of the wide arms' register tile height.
 constexpr std::size_t kRowBlock = 4;
-// Multiply-adds below which a GEMM stays on the calling thread: on a
+// Multiply-adds below which a wide arm stays on the calling thread: on a
 // 4-vCPU Sapphire Rapids host the AVX-512 arm gains nothing from the pool
 // below about this size, where the fork-join costs as much as it saves.
+// The scalar oracle splits across the pool from two row blocks up.
 constexpr std::size_t kParallelFloor = std::size_t{1} << 20;
 
 }  // namespace
@@ -150,17 +146,13 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
     g.b = bt.data();
     rows = [&](std::size_t i0, std::size_t i1) { arm->dot(g, i0, i1); };
   } else {
-    // A holds exactly the m * k values the update form reads.
-    const bool dense = alpha == 1.f && arm->no_zero(A.p, m * k);
-    rows = [&, dense](std::size_t i0, std::size_t i1) {
-      arm->update(g, dense, i0, i1);
-    };
+    rows = [&](std::size_t i0, std::size_t i1) { arm->update(g, i0, i1); };
   }
   const std::size_t blocks = (m + kRowBlock - 1) / kRowBlock;
   const auto run = [&](std::size_t b0, std::size_t b1) {
     rows(b0 * kRowBlock, std::min(m, b1 * kRowBlock));
   };
-  if (m * n * k < kParallelFloor) {
+  if (arm != nullptr && m * n * k < kParallelFloor) {
     run(0, blocks);
   } else {
     parallel_for(blocks, run, /*grain=*/2);

@@ -1,13 +1,13 @@
 // AVX2 arm of the INT8 GEMM kernel ladder (quant_kernels.h).
 //
-// This translation unit alone is compiled with -mavx2 -ffp-contract=off
-// (CMakeLists.txt); the function only runs after the CPUID probe
-// (cpu_features.cpp) said the host executes AVX2, so no illegal
-// instruction can escape.  The contract flag plus the OUT-OF-LINE scalar
-// tail in quant.cpp are what keep this arm bit-identical to scalar: gcc
-// lowers mul/add _ps intrinsics to vector * and +, which contract=fast
-// would fuse into FMA on any -m level where FMA exists (see
-// quant_kernels.h for the full contract).
+// This translation unit and the fp32 AVX2 arm alone are compiled with
+// -mavx2 -ffp-contract=off (CMakeLists.txt); the function only runs
+// after the CPUID probe (cpu_features.cpp) said the host executes AVX2,
+// so no illegal instruction can escape.  The contract flag plus the
+// OUT-OF-LINE scalar tail in quant.cpp are what keep this arm
+// bit-identical to scalar: gcc lowers mul/add _ps intrinsics to vector *
+// and +, which contract=fast would fuse into FMA on any -m level where
+// FMA exists (see quant_kernels.h for the full contract).
 #include "tensor/quant_kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)

@@ -9,13 +9,13 @@
 // 16 outputs and the accumulator equals the scalar oracle's bit for bit
 // (exact while k * 32385 fits int32; see quant_kernels.h).
 //
-// This TU alone is compiled with -mavx512f -mavx512vnni plus
-// -ffp-contract=off (CMakeLists.txt) and only runs after the
-// CPUID+XGETBV probe passes.  The contract flag is not optional: gcc
-// lowers mul/add _ps intrinsics to plain vector * and +, which
-// contract=fast would fuse into FMA here (where FMA exists) and the
-// epilogue would stop matching the baseline TUs bit for bit.  Sub-16
-// tails go to the out-of-line scalar oracle.
+// This TU and the fp32 AVX-512 arm alone are compiled with -mavx512f
+// -mavx512vnni plus -ffp-contract=off (CMakeLists.txt); it only runs
+// after the CPUID+XGETBV probe passes.  The contract flag is not
+// optional: gcc lowers mul/add _ps intrinsics to plain vector * and +,
+// which contract=fast would fuse into FMA here (where FMA exists) and
+// the epilogue would stop matching the baseline TUs bit for bit.
+// Sub-16 tails go to the out-of-line scalar oracle.
 #include "tensor/quant_kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)

@@ -139,6 +139,11 @@ TEST(PpTrainer, StorageChunkLossesArePinnedOnEveryGemmArm) {
                                    0x1.55c6a3999999ap-1};
   const std::vector<double> sign = {0x1.787f493333333p-1, 0x1.5b8c753333333p-1,
                                     0x1.57caeb999999ap-1};
+  // Clears the override on every exit, so a failed assertion below cannot
+  // leave later tests on the forced scalar arm.
+  struct OverrideGuard {
+    ~OverrideGuard() { clear_isa_override(); }
+  } guard;
   for (const bool scalar : {false, true}) {
     if (scalar) set_isa_override(Isa::kScalar);
     for (const bool is_sgc : {true, false}) {
@@ -168,7 +173,6 @@ TEST(PpTrainer, StorageChunkLossesArePinnedOnEveryGemmArm) {
       }
     }
   }
-  clear_isa_override();
 }
 
 TEST(PpTrainer, PhaseTimingsPopulated) {
