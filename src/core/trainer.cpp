@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 
@@ -117,6 +118,14 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
   result.row_bytes = pre.row_bytes();
   result.bytes_loaded_per_epoch = result.train_rows * result.row_bytes;
 
+  // Storage mode: feature tensors of processed full batches, handed back
+  // to the loader thread, which reads later batches into them instead of
+  // allocating and zero-filling a new tensor per batch.  read_chunk
+  // overwrites every element, and no model keeps a reference to its batch
+  // past backward().
+  std::mutex spare_mu;
+  std::vector<Tensor> spare;
+
   // Assembles batch `k` according to the active mode; used directly for
   // synchronous modes and through the prefetcher for pipelined ones.
   const auto assemble = [&](std::size_t k) -> loader::MiniBatch {
@@ -133,8 +142,17 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
         const std::size_t hi =
             std::min(lo + cfg.batch_size, order.size());
         mb.indices.assign(order.begin() + lo, order.begin() + hi);
-        mb.features =
-            Tensor({mb.indices.size(), store->num_hops() * store->hop_dim()});
+        if (mb.indices.size() == cfg.batch_size) {
+          std::lock_guard<std::mutex> lk(spare_mu);
+          if (!spare.empty()) {
+            mb.features = std::move(spare.back());
+            spare.pop_back();
+          }
+        }
+        if (mb.features.empty()) {
+          mb.features = Tensor(
+              {mb.indices.size(), store->num_hops() * store->hop_dim()});
+        }
         std::size_t i = 0;
         while (i < mb.indices.size()) {
           std::size_t run = 1;
@@ -194,6 +212,10 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
         if (!prefetcher.next(mb)) break;
         rec.data_loading_seconds += seconds_since(t_load);  // stall time only
         process(mb);
+        if (store && mb.features.rows() == cfg.batch_size) {
+          std::lock_guard<std::mutex> lk(spare_mu);
+          spare.push_back(std::move(mb.features));
+        }
       }
     } else {
       for (std::size_t k = 0; k < source.num_batches(); ++k) {

@@ -104,11 +104,16 @@ const F32Arm* wide_arm(Isa isa) {
 
 // Rows are handed out in blocks of the wide arms' register tile height.
 constexpr std::size_t kRowBlock = 4;
-// Multiply-adds below which a wide arm stays on the calling thread: on a
-// 4-vCPU Sapphire Rapids host the AVX-512 arm gains nothing from the pool
-// below about this size, where the fork-join costs as much as it saves.
-// The scalar oracle splits across the pool from two row blocks up.
-constexpr std::size_t kParallelFloor = std::size_t{1} << 20;
+// Multiply-adds below which a wide arm stays on the calling thread.  On
+// a 4-vCPU Sapphire Rapids VM a pooled AVX-512 GEMM of 1M-17M
+// multiply-adds ran at best 0.4-0.7x of its serial time, and no faster
+// when serial work came between the calls (the woken workers ran on the
+// caller's vCPU).  While other guests loaded the host, its p90 was 3-16x
+// the serial p90, which barely moved: every fork-join waits for the
+// slowest worker's vCPU.  SGC's forward and dW (4M) therefore stay
+// serial.  The scalar oracle splits across the pool from two row blocks
+// up.
+constexpr std::size_t kParallelFloor = std::size_t{1} << 23;
 
 }  // namespace
 

@@ -2,7 +2,7 @@
 // this host can run must be BIT-IDENTICAL to the scalar oracle — memcmp
 // on the output floats, no error bound — in all four transpose cases,
 // with alpha and beta each in {0, 1, other}, column and inner-dimension
-// tails that are not multiples of 16 or 8, shapes above the work floor
+// tails that are not multiples of 16 or 8, a shape at the work floor
 // that splits a GEMM across the pool, and inputs holding +0, -0, +-inf
 // and NaN.  Each case runs on the 8-thread pool (pinned before main())
 // and on one thread.
@@ -45,12 +45,13 @@ struct Shape {
 };
 
 // Tails below, at and past every vector width; n = 65 and 130 span two
-// and three AVX-512 column tiles; the last three exceed the 2^20
-// multiply-add floor, so they split across the pool.
+// and three AVX-512 column tiles; the last reaches the 2^23 multiply-add
+// floor, so the wide arms split it across the pool (the scalar oracle
+// splits every shape from 5 rows up).
 const Shape kShapes[] = {
-    {1, 1, 1},   {3, 7, 5},    {5, 17, 63},   {17, 33, 65},  {9, 31, 130},
-    {33, 8, 16}, {6, 13, 8},   {4, 1, 24},    {263, 96, 45}, {70, 300, 53},
-    {1024, 64, 16},
+    {1, 1, 1},      {3, 7, 5},     {5, 17, 63},   {17, 33, 65},
+    {9, 31, 130},   {33, 8, 16},   {6, 13, 8},    {4, 1, 24},
+    {263, 96, 45},  {70, 300, 53}, {1024, 64, 16}, {1024, 128, 64},
 };
 
 std::vector<Isa> runnable_arms() {
