@@ -93,7 +93,7 @@ void BM_GemmS8Ladder(benchmark::State& state) {
   const QuantizedActs xq = quantize_acts_per_row(x);
   const QuantizedMatrix wq = quantize_per_row(w, arm);
   Tensor c;
-  gemm_s8_nt(xq, wq, c);  // warm the packed layouts and the pool
+  gemm_s8_nt(xq, wq, c);  // warm the caches and the output tensor
   for (auto _ : state) {
     gemm_s8_nt(xq, wq, c);
     benchmark::DoNotOptimize(c.data());

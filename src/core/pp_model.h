@@ -50,8 +50,9 @@ class PpModel {
   // is bit-identical to concatenating per-row infer() calls (test_serve
   // relies on this to prove micro-batching never changes answers).  Not
   // required to be concurrency-safe: callers serialize calls per model
-  // instance (the MicroBatcher's dispatcher does) and intra-batch
-  // parallelism comes from the kernels' global thread pool.
+  // instance (the MicroBatcher's dispatcher does).  At serving batches the
+  // forward runs on the calling thread; only the fp32 scalar GEMM oracle
+  // still splits across the global thread pool (tensor/ops.h).
   virtual Tensor infer(const Tensor& batch) { return forward(batch, false); }
 };
 

@@ -51,8 +51,9 @@ class InferenceSession {
 
   // Resolves features and runs one eval-mode forward; returns logits
   // [nodes.size(), classes].  Calls are serialized internally (PpModel
-  // implementations keep forward scratch state); intra-batch parallelism
-  // comes from the kernels' thread pool.
+  // implementations keep forward scratch state), and the forward runs on
+  // the calling thread (core/pp_model.h), so a replica computes on its
+  // dispatcher thread alone.
   Tensor infer_nodes(const std::vector<std::int64_t>& nodes);
 
   // Single-request convenience: the logits row for one node.

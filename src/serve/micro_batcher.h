@@ -2,13 +2,14 @@
 // batches, behind the replica's admission core.
 //
 // One forward over b rows costs far less than b forwards over one row (the
-// GEMM amortizes weight traffic and the thread-pool fan-out), so the
-// classic serving trade applies: hold a request for up to max_delay hoping
-// peers arrive, dispatch early when max_batch_size fills.  A single
-// dispatcher thread owns the model; intra-batch parallelism comes from the
-// kernels' global thread pool (tensor/parallel), so results are
-// deterministic regardless of how requests interleave — test_serve proves
-// batched output is bit-identical to single-request inference.
+// GEMM amortizes weight traffic and per-call overhead), so the classic
+// serving trade applies: hold a request for up to max_delay hoping peers
+// arrive, dispatch early when max_batch_size fills.  A single dispatcher
+// thread owns the model and runs each forward itself, off the thread pool
+// (core/pp_model.h), so a replica's compute capacity is one thread and
+// results are deterministic regardless of how requests interleave —
+// test_serve proves batched output is bit-identical to single-request
+// inference.
 //
 // What enters the queue, what is shed or evicted, and what forms each
 // batch is decided by an AdmissionQueue (admission_queue.h, which

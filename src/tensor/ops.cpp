@@ -170,12 +170,6 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  Tensor c({a.cols(), b.cols()});
-  gemm(a, true, b, false, c);
-  return c;
-}
-
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   Tensor c({a.rows(), b.rows()});
   gemm(a, false, b, true, c);
@@ -225,12 +219,10 @@ void add_row_vector(Tensor& a, const Tensor& bias) {
     throw std::invalid_argument("add_row_vector: bias size mismatch");
   }
   const float* pb = bias.data();
-  parallel_for(a.rows(), [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      float* row = a.row(i);
-      for (std::size_t j = 0, c = a.cols(); j < c; ++j) row[j] += pb[j];
-    }
-  }, 64);
+  for (std::size_t i = 0, r = a.rows(); i < r; ++i) {
+    float* row = a.row(i);
+    for (std::size_t j = 0, c = a.cols(); j < c; ++j) row[j] += pb[j];
+  }
 }
 
 void sum_rows(const Tensor& a, Tensor& out) {
@@ -519,16 +511,14 @@ Tensor concat_cols(const std::vector<const Tensor*>& parts) {
     cols += p->cols();
   }
   Tensor out({rows, cols});
-  parallel_for(rows, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      float* orow = out.row(i);
-      std::size_t off = 0;
-      for (const Tensor* p : parts) {
-        std::memcpy(orow + off, p->row(i), p->cols() * sizeof(float));
-        off += p->cols();
-      }
+  for (std::size_t i = 0; i < rows; ++i) {
+    float* orow = out.row(i);
+    std::size_t off = 0;
+    for (const Tensor* p : parts) {
+      std::memcpy(orow + off, p->row(i), p->cols() * sizeof(float));
+      off += p->cols();
     }
-  }, 256);
+  }
   return out;
 }
 

@@ -1,9 +1,13 @@
 // Dense kernels shared by the NN layers, samplers and models.
 //
-// All kernels are CPU implementations parallelized over the leading
-// dimension with the global thread pool.  GEMM is a runtime-dispatched
-// ladder (docs/kernels.md): a scalar oracle plus AVX2 and AVX-512 arms
-// that hold tiles of C in registers and are bit-identical to it.
+// CPU implementations.  Only long loops split over the leading dimension
+// on the global thread pool: a GEMM from 2^23 multiply-adds (from 5 rows
+// on the scalar oracle), relu and add_inplace from 2^16 elements,
+// softmax_rows from 256 rows and gather_rows from 512.  The rest, the
+// bias add and concat_cols included, run on the calling thread.  GEMM is
+// a runtime-dispatched ladder (docs/kernels.md): a scalar oracle plus
+// AVX2 and AVX-512 arms that hold tiles of C in registers and are
+// bit-identical to it.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +31,6 @@ const char* gemm_f32_arm();
 
 // Convenience allocating wrappers.
 Tensor matmul(const Tensor& a, const Tensor& b);                 // A @ B
-Tensor matmul_tn(const Tensor& a, const Tensor& b);              // A^T @ B
 Tensor matmul_nt(const Tensor& a, const Tensor& b);              // A @ B^T
 
 // ---------------------------------------------------------------------------

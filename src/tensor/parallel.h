@@ -1,8 +1,12 @@
 // Minimal thread pool with a blocking parallel_for.
 //
-// The pool is created once per process (see global_pool()) and shared by all
-// kernels (GEMM, SpMM, gather).  Work is partitioned into contiguous index
-// ranges, one per worker, which is the right granularity for the regular,
+// The pool is created once per process, on first use (see global_pool()),
+// and shared by the kernels whose loops are long enough to pay for a
+// fork-join: large fp32 GEMMs, SpMM, gather, the MP-GNN layers.  The
+// serving path (int8 GEMM, bias add, concat) runs on its caller's thread,
+// so a replica process never builds the pool unless its fp32 GEMM runs
+// on the scalar oracle.  Work is partitioned into contiguous index ranges,
+// one per worker, which is the right granularity for the regular,
 // bandwidth-bound loops in this library.
 #pragma once
 

@@ -9,7 +9,6 @@
 #include <emmintrin.h>
 #endif
 
-#include "tensor/parallel.h"
 #include "tensor/quant_kernels.h"
 
 namespace ppgnn {
@@ -184,14 +183,14 @@ RowKernel kernel_for(const QuantizedMatrix& w, Isa* arm_out) {
 // and dequantize once at the epilogue (both scales are constant over the
 // k-sum by construction: per-sample x per-output-channel).
 //
-// Iteration space: a 2-D grid of (output-row block) x (batch-row block)
-// tasks on the shared pool, j-major, so one worker sweeps consecutive
-// batch blocks against the same weight block — the replica's shared
-// weight slab streams through L2 once per batch instead of once per
-// sample, and a SMALL batch against a WIDE layer still fans out over
-// output blocks instead of serializing on one thread (m=1 used to pin the
-// whole dispatch to one worker).  Any partition is bit-identical: each
-// output's accumulation order is fixed inside the row kernels.
+// Runs on the calling thread.  A serving GEMM (at most 256 rows, 96
+// inputs and 32 outputs here) is under 10^6 multiply-adds, less work than
+// waking and joining pool workers costs.  Each row's activation words are
+// packed once, then every row sweeps one 64-output weight block before
+// the next (64 outputs x k codes of pair-pack is ~12 KB at the serving
+// shape, so the block stays cache-resident while the rows stream past).
+// The blocking cannot change a byte: each output's accumulation order is
+// fixed inside the row kernels.
 template <typename ScaleFn, typename OffFn>
 void gemm_s8_impl(std::size_t m, std::size_t k, std::size_t n,
                   const std::int8_t* xdata, ScaleFn xscale, OffFn xoff,
@@ -200,62 +199,32 @@ void gemm_s8_impl(std::size_t m, std::size_t k, std::size_t n,
     c = Tensor({m, n});
   }
   if (m == 0 || n == 0) return;
-  const float* bias_p = bias ? bias->data() : nullptr;
 
   Isa arm = Isa::kScalar;
   const RowKernel kernel = kernel_for(w, &arm);
   const std::size_t words = detail::packed_x_words(arm, k);
-
-  // Pack the whole batch's activation words once; every (jb, mb) task
-  // re-reads them, so packing per task would redo the work njb times.
   std::vector<std::int32_t> xw(words * m);
   if (words > 0) {
-    parallel_for(
-        m,
-        [&](std::size_t i0, std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            detail::pack_x_row(arm, xdata + i * k, k, xw.data() + i * words);
-          }
-        },
-        64);
+    for (std::size_t i = 0; i < m; ++i) {
+      detail::pack_x_row(arm, xdata + i * k, k, xw.data() + i * words);
+    }
   }
 
-  // 64 outputs x k codes of pair-pack is ~12 KB at the serving shape —
-  // comfortably L2-resident next to the activation words.  The batch
-  // block starts big (stream weights once) and halves until the grid can
-  // feed every pool thread.
   const std::size_t kJBlock = 64;
-  const std::size_t njb = (n + kJBlock - 1) / kJBlock;
-  std::size_t mblock = 128;
-  const std::size_t threads = global_pool().size();
-  while (mblock > 16 && njb * ((m + mblock - 1) / mblock) < threads) {
-    mblock /= 2;
+  detail::GemmRowArgs a;
+  a.w = &w;
+  a.bias = bias ? bias->data() : nullptr;
+  for (std::size_t j0 = 0; j0 < n; j0 += kJBlock) {
+    const std::size_t j1 = std::min(n, j0 + kJBlock);
+    for (std::size_t i = 0; i < m; ++i) {
+      a.xr = xdata + i * k;
+      a.xw = words ? xw.data() + i * words : nullptr;
+      a.xs = xscale(i);
+      a.xoff = xoff(i);
+      a.crow = c.row(i);
+      kernel(a, j0, j1);
+    }
   }
-  const std::size_t nmb = (m + mblock - 1) / mblock;
-
-  parallel_for(
-      njb * nmb,
-      [&](std::size_t t0, std::size_t t1) {
-        for (std::size_t t = t0; t < t1; ++t) {
-          const std::size_t jb = t / nmb, mb = t % nmb;
-          const std::size_t j0 = jb * kJBlock;
-          const std::size_t j1 = std::min(n, j0 + kJBlock);
-          const std::size_t i0 = mb * mblock;
-          const std::size_t i1 = std::min(m, i0 + mblock);
-          detail::GemmRowArgs a;
-          a.w = &w;
-          a.bias = bias_p;
-          for (std::size_t i = i0; i < i1; ++i) {
-            a.xr = xdata + i * k;
-            a.xw = words ? xw.data() + i * words : nullptr;
-            a.xs = xscale(i);
-            a.xoff = xoff(i);
-            a.crow = c.row(i);
-            kernel(a, j0, j1);
-          }
-        }
-      },
-      1);
 }
 
 }  // namespace
@@ -307,15 +276,13 @@ QuantizedMatrix quantize_per_row(const Tensor& m, Isa arm) {
   q.data.resize(q.rows * q.cols);
   q.scales.resize(q.rows);
   q.row_sums.resize(q.rows);
-  parallel_for(q.rows, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      quantize_row_s8(m.row(i), q.cols, q.row(i), &q.scales[i]);
-      std::int32_t sum = 0;
-      const std::int8_t* codes = q.row(i);
-      for (std::size_t t = 0; t < q.cols; ++t) sum += codes[t];
-      q.row_sums[i] = sum;
-    }
-  });
+  for (std::size_t i = 0; i < q.rows; ++i) {
+    quantize_row_s8(m.row(i), q.cols, q.row(i), &q.scales[i]);
+    std::int32_t sum = 0;
+    const std::int8_t* codes = q.row(i);
+    for (std::size_t t = 0; t < q.cols; ++t) sum += codes[t];
+    q.row_sums[i] = sum;
+  }
   // Build ONLY the layout the dispatched arm reads (quant.h): the scalar
   // arm reads the raw codes and needs none.  Zero-padding the k remainder
   // keeps every packed dot exact.
@@ -344,11 +311,9 @@ QuantizedMatrix quantize_per_row(const Tensor& m, Isa arm) {
 
 Tensor dequantize(const QuantizedMatrix& q) {
   Tensor out({q.rows, q.cols});
-  parallel_for(q.rows, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      dequantize_row_s8(q.row(i), q.cols, q.scales[i], out.row(i));
-    }
-  });
+  for (std::size_t i = 0; i < q.rows; ++i) {
+    dequantize_row_s8(q.row(i), q.cols, q.scales[i], out.row(i));
+  }
   return out;
 }
 
@@ -363,36 +328,34 @@ QuantizedActs quantize_acts_per_row(const Tensor& m) {
   q.data.resize(q.rows * q.cols);
   q.scales.resize(q.rows);
   q.offsets.resize(q.rows);
-  parallel_for(q.rows, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* src = m.row(i);
-      float lo = src[0], hi = src[0];
-      for (std::size_t t = 1; t < q.cols; ++t) {
-        lo = std::min(lo, src[t]);
-        hi = std::max(hi, src[t]);
-      }
-      const float mid = 0.5f * (lo + hi);
-      const float half = 0.5f * (hi - lo);
-      std::int8_t* dst = q.row(i);
-      if (half == 0.f) {
-        // Constant row: the offset carries it exactly.
-        std::memset(dst, 0, q.cols);
-        q.scales[i] = 0.f;
-        q.offsets[i] = mid;
-        continue;
-      }
-      const float s = half / 127.f;
-      const float inv = 127.f / half;
-      for (std::size_t t = 0; t < q.cols; ++t) {
-        int code = round_code((src[t] - mid) * inv);
-        if (code > 127) code = 127;
-        if (code < -127) code = -127;
-        dst[t] = static_cast<std::int8_t>(code);
-      }
-      q.scales[i] = s;
-      q.offsets[i] = mid;
+  for (std::size_t i = 0; i < q.rows; ++i) {
+    const float* src = m.row(i);
+    float lo = src[0], hi = src[0];
+    for (std::size_t t = 1; t < q.cols; ++t) {
+      lo = std::min(lo, src[t]);
+      hi = std::max(hi, src[t]);
     }
-  });
+    const float mid = 0.5f * (lo + hi);
+    const float half = 0.5f * (hi - lo);
+    std::int8_t* dst = q.row(i);
+    if (half == 0.f) {
+      // Constant row: the offset carries it exactly.
+      std::memset(dst, 0, q.cols);
+      q.scales[i] = 0.f;
+      q.offsets[i] = mid;
+      continue;
+    }
+    const float s = half / 127.f;
+    const float inv = 127.f / half;
+    for (std::size_t t = 0; t < q.cols; ++t) {
+      int code = round_code((src[t] - mid) * inv);
+      if (code > 127) code = 127;
+      if (code < -127) code = -127;
+      dst[t] = static_cast<std::int8_t>(code);
+    }
+    q.scales[i] = s;
+    q.offsets[i] = mid;
+  }
   return q;
 }
 

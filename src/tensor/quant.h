@@ -19,10 +19,10 @@
 // vpdpbusd — and gemm_s8_nt() dispatches on that layout.  Every arm
 // accumulates in exact int32 with the same fp32 epilogue order, so all
 // arms are BIT-IDENTICAL to the scalar oracle (test_kernel_ladder); the
-// PPGNN_ISA environment variable forces any arm for testing.  Work is
-// blocked over output rows and batch rows on the shared thread pool, with
-// a fixed per-output accumulation order, so batched inference stays
-// bit-deterministic under any thread count.
+// PPGNN_ISA environment variable forces any arm for testing.  Every
+// function here runs on its caller's thread (a serving replica's
+// dispatcher), never on the shared pool, and each output's accumulation
+// order is fixed, so batched inference is bit-deterministic.
 #pragma once
 
 #include <cstdint>

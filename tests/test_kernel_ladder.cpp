@@ -2,8 +2,9 @@
 // every arm this host can run must be BIT-IDENTICAL to the scalar oracle
 // — memcmp on the output floats, no error bound — across odd inner
 // dimensions, sub-vector-width output tails, zero rows, asymmetric
-// activation offsets, and an 8-thread pool (the pool size is forced
-// before main() so every parallel gemm in this binary runs blocked).
+// activation offsets, and an 8-thread pool configured before main() (the
+// int8 GEMM runs on its caller's thread, so this guards that no pool size
+// changes the bytes).
 // Plus the dispatch contract: PPGNN_ISA / set_isa_override force any
 // arm, forcing an unsupported arm degrades and never crashes, and a
 // matrix carries exactly one kernel layout (the scratch-halving point).
@@ -22,10 +23,10 @@
 namespace ppgnn {
 namespace {
 
-// Pin the pool to 8 workers before anything touches global_pool(): the
-// ladder must be exercised with real cross-thread blocking, not a
-// one-core CI runner's serial fallback.  setenv with overwrite=0 keeps
-// an explicit outer PPGNN_NUM_THREADS in charge.
+// Pin the pool to 8 workers before anything touches global_pool().  The
+// int8 GEMM never splits across the pool, so the pin guards that a pool
+// of any size, 8 here, leaves every arm's bytes alone.  setenv with
+// overwrite=0 keeps an explicit outer PPGNN_NUM_THREADS in charge.
 const bool g_pool_pinned = [] {
   ::setenv("PPGNN_NUM_THREADS", "8", 0);
   return true;
@@ -256,9 +257,9 @@ TEST(KernelLadder, ShiftedActivationsExerciseOffsetPath) {
 }
 
 TEST(KernelLadder, EightThreadPoolStaysBitIdentical) {
-  // The pool pin above makes every gemm in this binary run on 8 workers
-  // unless the environment already chose otherwise; either way the
-  // blocked grid must not perturb results on the big acceptance shape.
+  // The pin above sizes the pool at 8 unless the environment already
+  // chose otherwise.  The int8 GEMM runs on the calling thread whatever
+  // the size, so the big acceptance shape must come out the same bytes.
   ASSERT_TRUE(g_pool_pinned);
   if (::getenv("PPGNN_NUM_THREADS") == std::string("8")) {
     EXPECT_EQ(global_pool().size(), 8u);
