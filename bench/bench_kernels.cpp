@@ -7,9 +7,11 @@
 // --ladder-json=PATH bypasses google-benchmark and appends one
 // kernel_ladder record per supported ISA arm into the JSON array at PATH
 // (BENCH_serving.json in CI) — the per-ISA GEMM table the fleetsim
-// calibration and sim::CpuGemmSpec::measured() consume.
+// calibration and sim::CpuGemmSpec::measured() consume.  Each arm's rate
+// is the median of 21 rounds of 500 calls after 2,000 warm-up calls.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -167,6 +169,10 @@ void BM_GatherRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherRows)->Arg(64)->Arg(512);
 
+constexpr int kLadderWarmupCalls = 2000;
+constexpr int kLadderRounds = 21;
+constexpr int kLadderCallsPerRound = 500;
+
 // Self-timed per-ISA GEMM table, appended into the JSON array at `path`
 // (created when absent).  Record shape matches bench_serving_latency's
 // kernel_ladder section so fleetsim::parse_bench_json reads either
@@ -195,15 +201,23 @@ int run_ladder_json(const std::string& path) {
     }
     const QuantizedMatrix wq = quantize_per_row(w, arm);
     Tensor c;
-    gemm_s8_nt(xq, wq, c);  // warm
-    const int reps = 600;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < reps; ++r) gemm_s8_nt(xq, wq, c);
-    const double sec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    // Warm up, then take the median of 21 timed rounds: one short timing
+    // swings with the load of other guests on a shared host, and fleetsim
+    // reads this table as the arm's rate.
+    for (int r = 0; r < kLadderWarmupCalls; ++r) gemm_s8_nt(xq, wq, c);
+    std::vector<double> round_s(kLadderRounds);
+    for (double& sec : round_s) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < kLadderCallsPerRound; ++r) gemm_s8_nt(xq, wq, c);
+      sec = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count();
+    }
+    std::nth_element(round_s.begin(), round_s.begin() + kLadderRounds / 2,
+                     round_s.end());
     const double gops = 2.0 * static_cast<double>(kLadderM) * kLadderK *
-                        kLadderN * reps / sec / 1e9;
+                        kLadderN * kLadderCallsPerRound /
+                        round_s[kLadderRounds / 2] / 1e9;
     if (arm == Isa::kSse2) sse2_gops = gops;
     const double vs = sse2_gops > 0 ? gops / sse2_gops : 0.0;
     std::snprintf(buf, sizeof(buf),

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "core/checkpoint.h"
@@ -68,10 +69,6 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
     throw std::invalid_argument("train_pp: chunk_size == 0 in chunked mode");
   }
 
-  // Materialize the expanded training set once (hop-major rows); this is
-  // the array the loaders index into — position i corresponds to node
-  // train_idx[i].
-  const Tensor train_x = pre.expanded_rows(train_idx);
   std::vector<std::int32_t> train_y(train_idx.size());
   for (std::size_t i = 0; i < train_idx.size(); ++i) {
     train_y[i] = ds.labels[static_cast<std::size_t>(train_idx[i])];
@@ -82,19 +79,25 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
   const auto shuffler =
       loader::make_shuffler(chunked ? cfg.chunk_size : std::size_t{1});
 
-  // Storage mode: write per-hop training features to the file store.
+  // Storage mode writes the training rows of every hop straight from `pre`
+  // to the file store and reads each batch back from it, so it holds no
+  // copy of the training set.  The other modes materialize the expanded
+  // training set once (hop-major rows), the array the loaders index into.
+  // Either way, training position i is node train_idx[i].
   std::unique_ptr<loader::FeatureFileStore> store;
+  Tensor train_x;
   if (cfg.mode == LoadingMode::kStorageChunk) {
-    std::vector<Tensor> hop_train;
-    hop_train.reserve(pre.hop_features.size());
-    for (const auto& hop : pre.hop_features) {
-      hop_train.push_back(gather_rows(hop, train_idx));
-    }
     store = std::make_unique<loader::FeatureFileStore>(
-        loader::FeatureFileStore::create(cfg.storage_dir, hop_train));
+        loader::FeatureFileStore::create(cfg.storage_dir, pre.hop_features,
+                                         loader::RowCodec::kFp32,
+                                         &train_idx));
+  } else {
+    train_x = pre.expanded_rows(train_idx);
   }
-
-  loader::BatchSource source(&train_x, train_y.data(), cfg.batch_size);
+  loader::BatchSource source =
+      store ? loader::BatchSource(train_idx.size(), train_y.data(),
+                                  cfg.batch_size)
+            : loader::BatchSource(&train_x, train_y.data(), cfg.batch_size);
   Rng rng(cfg.seed);
   std::vector<nn::ParamSlot> params;
   model.collect_params(params);
@@ -136,12 +139,7 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
         // Read the batch as contiguous runs from the file store (chunk
         // reshuffling makes batches mostly contiguous on disk), each run
         // straight into its rows of the batch.
-        loader::MiniBatch mb;
-        const auto& order = source.epoch_order();
-        const std::size_t lo = k * cfg.batch_size;
-        const std::size_t hi =
-            std::min(lo + cfg.batch_size, order.size());
-        mb.indices.assign(order.begin() + lo, order.begin() + hi);
+        loader::MiniBatch mb = source.index_batch(k);
         if (mb.indices.size() == cfg.batch_size) {
           std::lock_guard<std::mutex> lk(spare_mu);
           if (!spare.empty()) {
@@ -164,10 +162,6 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
                             mb.features.row(i));
           i += run;
         }
-        mb.labels.resize(mb.indices.size());
-        for (std::size_t j = 0; j < mb.indices.size(); ++j) {
-          mb.labels[j] = train_y[static_cast<std::size_t>(mb.indices[j])];
-        }
         return mb;
       }
       default:
@@ -179,16 +173,45 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
                          cfg.mode == LoadingMode::kChunkPrefetch ||
                          cfg.mode == LoadingMode::kStorageChunk;
 
+  // Pipelined modes start epoch e+1's loader as soon as epoch e's last
+  // batch has been handed over, so that its first batches are read while
+  // that batch trains.  Its order is drawn from `rng`, in sequence, when
+  // epoch e begins (off the training steps), and installed only after
+  // epoch e's producer has been joined; each producer serves one epoch.
+  std::optional<loader::PrefetchingLoader> prefetcher;
+  std::vector<std::int64_t> next_order;
+  const auto draw_order = [&] {
+    return shuffler->epoch_order(train_idx.size(), rng);
+  };
+
   for (std::size_t epoch = start_epoch; epoch <= cfg.epochs; ++epoch) {
     const auto t_epoch = Clock::now();
-    source.set_epoch_order(
-        shuffler->epoch_order(train_idx.size(), rng));
+    if (!pipelined || epoch == start_epoch) {
+      source.set_epoch_order(draw_order());
+      if (pipelined) prefetcher.emplace(assemble, source.num_batches());
+    }
+    if (pipelined && epoch < cfg.epochs) next_order = draw_order();
     EpochRecord rec;
     rec.epoch = epoch;
     double loss_sum = 0;
-    std::size_t batches = 0;
-
-    const auto process = [&](loader::MiniBatch& mb) {
+    for (std::size_t k = 0; k < source.num_batches(); ++k) {
+      const auto t_load = Clock::now();
+      loader::MiniBatch mb;
+      if (pipelined) {
+        if (!prefetcher->next(mb)) {
+          throw std::logic_error("train_pp: loader ended mid-epoch");
+        }
+      } else {
+        mb = assemble(k);
+      }
+      rec.data_loading_seconds += seconds_since(t_load);  // stall time only
+      if (pipelined && k + 1 == source.num_batches()) {
+        prefetcher.reset();
+        if (epoch < cfg.epochs) {
+          source.set_epoch_order(std::move(next_order));
+          prefetcher.emplace(assemble, source.num_batches());
+        }
+      }
       const auto t_fwd = Clock::now();
       Tensor logits = model.forward(mb.features, /*train=*/true);
       Tensor grad(logits.shape());
@@ -201,33 +224,14 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
       const auto t_opt = Clock::now();
       opt.step();
       rec.optimizer_seconds += seconds_since(t_opt);
-      ++batches;
-    };
-
-    if (pipelined) {
-      loader::PrefetchingLoader prefetcher(assemble, source.num_batches());
-      loader::MiniBatch mb;
-      while (true) {
-        const auto t_load = Clock::now();
-        if (!prefetcher.next(mb)) break;
-        rec.data_loading_seconds += seconds_since(t_load);  // stall time only
-        process(mb);
-        if (store && mb.features.rows() == cfg.batch_size) {
-          std::lock_guard<std::mutex> lk(spare_mu);
-          spare.push_back(std::move(mb.features));
-        }
-      }
-    } else {
-      for (std::size_t k = 0; k < source.num_batches(); ++k) {
-        const auto t_load = Clock::now();
-        loader::MiniBatch mb = assemble(k);
-        rec.data_loading_seconds += seconds_since(t_load);
-        process(mb);
+      if (store && mb.features.rows() == cfg.batch_size) {
+        std::lock_guard<std::mutex> lk(spare_mu);
+        spare.push_back(std::move(mb.features));
       }
     }
 
     rec.epoch_seconds = seconds_since(t_epoch);
-    rec.train_loss = batches ? loss_sum / static_cast<double>(batches) : 0;
+    rec.train_loss = loss_sum / static_cast<double>(source.num_batches());
 
     if (epoch % cfg.eval_every == 0 || epoch == cfg.epochs) {
       rec.val_acc = evaluate_pp(model, pre, ds, ds.split.valid);

@@ -9,6 +9,13 @@
 // Accuracy-affecting choices (the epoch order) are identical between
 // kPrefetch (SGD-RR) and kChunkPrefetch/kStorageChunk (SGD-CR), so Figure 8
 // and Table 6 compare exactly what the paper compares.
+//
+// kStorageChunk holds no copy of the training set: train_pp writes each
+// hop's training rows from the caller's Preprocessed straight to the file
+// store, and while it trains, what it keeps resident of the features is
+// the store's file descriptors and the batches in flight (the prefetch
+// queue's, the one training, and processed batches' tensors kept for
+// reuse).  The other modes materialize the expanded training set in RAM.
 #pragma once
 
 #include <string>

@@ -46,25 +46,31 @@ void pread_exact(int fd, void* buf, std::size_t count, off_t offset,
   }
 }
 
-// As pread_exact, scattering into iov[0, n) (consumed: entries are
-// advanced past what each call read).  Each syscall takes at most IOV_MAX
-// entries.
-void preadv_exact(int fd, iovec* iov, std::size_t n, off_t offset,
-                  std::atomic<std::uint64_t>& calls) {
+// preadv or pwritev.
+using IovCall = ssize_t (*)(int, const iovec*, int, off_t);
+
+// Moves exactly the bytes of iov[0, n) at `offset` with `call` (preadv or
+// pwritev), looping over short transfers: entries are consumed (advanced
+// past what each call moved), and each call takes at most IOV_MAX of them.
+// Returns the number of syscalls made; a call that moves nothing (EOF on a
+// read) throws.
+std::uint64_t iov_exact(IovCall call, const char* what, int fd, iovec* iov,
+                        std::size_t n, off_t offset) {
+  std::uint64_t calls = 0;
   while (n > 0 && iov->iov_len == 0) {
     ++iov;
     --n;
   }
   while (n > 0) {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    const ssize_t r = ::preadv(fd, iov, static_cast<int>(std::min<std::size_t>(
-                                            n, IOV_MAX)),
-                               offset);
+    ++calls;
+    const ssize_t r =
+        call(fd, iov, static_cast<int>(std::min<std::size_t>(n, IOV_MAX)),
+             offset);
     if (r < 0) {
       if (errno == EINTR) continue;
-      throw_errno("preadv");
+      throw_errno(what);
     }
-    if (r == 0) throw std::runtime_error("preadv: unexpected EOF");
+    if (r == 0) throw std::runtime_error(std::string(what) + ": unexpected EOF");
     offset += r;
     auto done = static_cast<std::size_t>(r);
     while (n > 0 && done >= iov->iov_len) {
@@ -77,18 +83,86 @@ void preadv_exact(int fd, iovec* iov, std::size_t n, off_t offset,
       iov->iov_len -= done;
     }
   }
+  return calls;
 }
 
-void write_all(int fd, const char* p, std::size_t left) {
-  while (left > 0) {
-    const ssize_t w = ::write(fd, p, left);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write");
-    }
-    p += w;
-    left -= static_cast<std::size_t>(w);
+// Calls fn(first, count) for each run of consecutive ids in `rows`, in
+// order, or once for all of [0, n) when rows is null.
+template <class Fn>
+void for_each_run(const std::vector<std::int64_t>* rows, std::size_t n,
+                  Fn fn) {
+  if (rows == nullptr) {
+    if (n > 0) fn(std::size_t{0}, n);
+    return;
   }
+  std::size_t i = 0;
+  while (i < rows->size()) {
+    std::size_t run = 1;
+    while (i + run < rows->size() &&
+           (*rows)[i + run] == (*rows)[i + run - 1] + 1) {
+      ++run;
+    }
+    fn(static_cast<std::size_t>((*rows)[i]), run);
+    i += run;
+  }
+}
+
+// Writes the selected rows of `src` to fd from offset 0, fp32 as stored:
+// one iovec per run of consecutive rows, pwritev'd IOV_MAX at a time.
+void write_rows_fp32(int fd, const Tensor& src,
+                     const std::vector<std::int64_t>* rows) {
+  const std::size_t rec = src.cols() * sizeof(float);
+  std::vector<iovec> iov;
+  iov.reserve(IOV_MAX);
+  off_t offset = 0;
+  std::size_t pending = 0;
+  const auto flush = [&] {
+    iov_exact(::pwritev, "pwritev", fd, iov.data(), iov.size(), offset);
+    offset += static_cast<off_t>(pending);
+    pending = 0;
+    iov.clear();
+  };
+  for_each_run(rows, src.rows(), [&](std::size_t first, std::size_t count) {
+    iov.push_back({const_cast<float*>(src.row(first)), count * rec});
+    pending += count * rec;
+    if (iov.size() == static_cast<std::size_t>(IOV_MAX)) flush();
+  });
+  if (!iov.empty()) flush();
+}
+
+// As write_rows_fp32 for the int8 codec: rows are quantized into a buffer
+// of at most FeatureFileStore::kEncodeBufferBytes (one record minimum),
+// which is written each time it fills.
+void write_rows_int8(int fd, const Tensor& src,
+                     const std::vector<std::int64_t>* rows) {
+  const std::size_t dim = src.cols();
+  const std::size_t rec = sizeof(float) + dim;
+  const std::size_t total = rows != nullptr ? rows->size() : src.rows();
+  const std::size_t cap = std::min(
+      total,
+      std::max<std::size_t>(1, FeatureFileStore::kEncodeBufferBytes / rec));
+  std::vector<char> buf(cap * rec);
+  off_t offset = 0;
+  std::size_t filled = 0;
+  const auto flush = [&] {
+    iovec v{buf.data(), filled * rec};
+    iov_exact(::pwritev, "pwritev", fd, &v, 1, offset);
+    offset += static_cast<off_t>(filled * rec);
+    filled = 0;
+  };
+  for_each_run(rows, src.rows(), [&](std::size_t first, std::size_t count) {
+    for (std::size_t r = first; r < first + count; ++r) {
+      // Row record: [fp32 scale][dim int8 codes].
+      char* out = buf.data() + filled * rec;
+      float scale = 0.f;
+      quantize_row_s8(src.row(r), dim,
+                      reinterpret_cast<std::int8_t*>(out + sizeof(float)),
+                      &scale);
+      std::memcpy(out, &scale, sizeof(float));
+      if (++filled == cap) flush();
+    }
+  });
+  if (filled > 0) flush();
 }
 
 }  // namespace
@@ -99,42 +173,44 @@ const char* codec_name(RowCodec codec) {
 
 FeatureFileStore FeatureFileStore::create(
     const std::string& dir, const std::vector<Tensor>& hop_features,
-    RowCodec codec) {
+    RowCodec codec, const std::vector<std::int64_t>* rows) {
   if (hop_features.empty()) {
     throw std::invalid_argument("FeatureFileStore: no hop features");
   }
-  ::mkdir(dir.c_str(), 0755);  // ok if it already exists
-  const std::size_t rows = hop_features[0].rows();
+  const std::size_t n = hop_features[0].rows();
   const std::size_t dim = hop_features[0].cols();
   for (const auto& t : hop_features) {
-    if (t.rows() != rows || t.cols() != dim) {
+    if (t.rows() != n || t.cols() != dim) {
       throw std::invalid_argument("FeatureFileStore: hop shape mismatch");
     }
   }
+  if (rows != nullptr) {
+    for (const auto r : *rows) {
+      if (r < 0 || static_cast<std::size_t>(r) >= n) {
+        throw std::out_of_range("FeatureFileStore::create: row " +
+                                std::to_string(r) + " out of range");
+      }
+    }
+  }
+  ::mkdir(dir.c_str(), 0755);  // ok if it already exists
   for (std::size_t h = 0; h < hop_features.size(); ++h) {
     const int fd = ::open(hop_path(dir, h).c_str(),
                           O_CREAT | O_TRUNC | O_WRONLY, 0644);
     if (fd < 0) throw_errno("open for write: " + hop_path(dir, h));
-    if (codec == RowCodec::kFp32) {
-      write_all(fd, reinterpret_cast<const char*>(hop_features[h].data()),
-                hop_features[h].bytes());
-    } else {
-      // Row record: [fp32 scale][dim int8 codes].
-      const std::size_t rec = sizeof(float) + dim;
-      std::vector<char> buf(rows * rec);
-      for (std::size_t i = 0; i < rows; ++i) {
-        char* out = buf.data() + i * rec;
-        float scale = 0.f;
-        quantize_row_s8(hop_features[h].row(i), dim,
-                        reinterpret_cast<std::int8_t*>(out + sizeof(float)),
-                        &scale);
-        std::memcpy(out, &scale, sizeof(float));
+    try {
+      if (codec == RowCodec::kFp32) {
+        write_rows_fp32(fd, hop_features[h], rows);
+      } else {
+        write_rows_int8(fd, hop_features[h], rows);
       }
-      write_all(fd, buf.data(), buf.size());
+    } catch (...) {
+      ::close(fd);
+      throw;
     }
     ::close(fd);
   }
-  return open(dir, rows, hop_features.size(), dim, codec);
+  return open(dir, rows != nullptr ? rows->size() : n, hop_features.size(),
+              dim, codec);
 }
 
 FeatureFileStore FeatureFileStore::open(const std::string& dir,
@@ -211,7 +287,9 @@ void FeatureFileStore::read_hop_run(std::size_t h, std::size_t row0,
   if (codec_ == RowCodec::kFp32) {
     std::vector<iovec> iov(count);
     for (std::size_t i = 0; i < count; ++i) iov[i] = {dst + i * stride, rec};
-    preadv_exact(fds_[h], iov.data(), count, offset, preads_);
+    preads_.fetch_add(
+        iov_exact(::preadv, "preadv", fds_[h], iov.data(), count, offset),
+        std::memory_order_relaxed);
     return;
   }
   std::vector<char> buf(count * rec);

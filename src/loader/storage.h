@@ -2,6 +2,12 @@
 //
 // Preprocessed hop features are written to one binary file per hop — the
 // paper splits hops into separate files to expose parallel storage streams.
+// create() writes each hop straight from its source tensor, either every
+// row or a selection (the trainer's training rows): fp32 runs of selected
+// rows go out by pwritev with no copy, int8 rows through a bounded encode
+// buffer.  An open store keeps only its file descriptors resident; the
+// features live on disk and in the caller's batches.
+//
 // Reading supports two access patterns whose performance gap is the whole
 // point of chunk reshuffling on storage:
 //   - read_chunk: contiguous row ranges, one preadv per hop file (per
@@ -41,9 +47,17 @@ class FeatureFileStore {
   // Writes hop_features[h] ([n, dim] each, identical shapes) to
   // dir/hop_<h>.bin and returns an open store.  Overwrites existing files.
   // kInt8 quantizes each row symmetrically (scale header + int8 payload).
+  // With `rows`, stored row i is source row (*rows)[i] — the same files as
+  // create() over gather_rows(hop, *rows), without the gathered copy; an
+  // id outside [0, n) throws std::out_of_range before any file is opened.
   static FeatureFileStore create(const std::string& dir,
                                  const std::vector<Tensor>& hop_features,
-                                 RowCodec codec = RowCodec::kFp32);
+                                 RowCodec codec = RowCodec::kFp32,
+                                 const std::vector<std::int64_t>* rows =
+                                     nullptr);
+  // Bytes of int8 records create() encodes before each write (at least
+  // one record).
+  static constexpr std::size_t kEncodeBufferBytes = std::size_t{256} << 10;
   // Opens existing files written by create() with the same codec.
   static FeatureFileStore open(const std::string& dir, std::size_t num_rows,
                                std::size_t num_hops, std::size_t dim,

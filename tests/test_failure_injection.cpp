@@ -110,6 +110,19 @@ TEST(StorageFailures, CreateRejectsInconsistentHopShapes) {
   fs::remove_all(dir);
 }
 
+TEST(StorageFailures, CreateRejectsOutOfRangeRowSelection) {
+  const auto dir = temp_dir("bad_selection");
+  for (const auto codec : {loader::RowCodec::kFp32, loader::RowCodec::kInt8}) {
+    for (const std::int64_t bad : {std::int64_t{16}, std::int64_t{-1}}) {
+      const std::vector<std::int64_t> rows = {0, 5, bad, 7};
+      EXPECT_THROW(
+          loader::FeatureFileStore::create(dir, small_hops(), codec, &rows),
+          std::out_of_range);
+    }
+  }
+  fs::remove_all(dir);
+}
+
 TEST(StorageFailures, RoundTripSurvivesReopen) {
   // Positive control for the failure cases above: an intact store read
   // through a fresh open() returns bit-identical data.
@@ -162,6 +175,25 @@ TEST(TrainerFailures, RejectsHopMismatchBetweenModelAndPreprocessing) {
   tc.epochs = 1;
   tc.batch_size = 64;
   EXPECT_THROW(core::train_pp(model, pre, ds, tc), std::invalid_argument);
+}
+
+TEST(TrainerFailures, StorageModeRejectsHopMismatch) {
+  // As above, with batches read from the file store: the store holds
+  // preprocessing's 3 hop files, and the 5-hop model's first forward
+  // rejects the narrower rows.
+  const auto ds = graph::make_dataset(graph::DatasetName::kPokecSim, 0.05);
+  core::PrecomputeConfig pc;
+  pc.hops = 2;
+  const auto pre = core::precompute(ds.graph, ds.features, pc);
+  Rng rng(1);
+  core::Sgc model(ds.feature_dim(), 4, ds.num_classes, rng);
+  core::PpTrainConfig tc;
+  tc.epochs = 2;
+  tc.batch_size = 64;
+  tc.mode = core::LoadingMode::kStorageChunk;
+  tc.storage_dir = temp_dir("storage_hop_mismatch");
+  EXPECT_THROW(core::train_pp(model, pre, ds, tc), std::invalid_argument);
+  fs::remove_all(tc.storage_dir);
 }
 
 TEST(TrainerFailures, StorageModeWithUnwritableDirThrows) {

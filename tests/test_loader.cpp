@@ -2,7 +2,9 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 #include <unordered_set>
 #include <utility>
 
@@ -131,6 +133,28 @@ TEST_F(BatchSourceTest, Validation) {
   BatchSource src(&feats_, labels_.data(), 16);
   EXPECT_THROW(src.set_epoch_order({1, 2, 3}), std::invalid_argument);
   EXPECT_THROW(src.assemble_fused(99), std::out_of_range);
+}
+
+TEST_F(BatchSourceTest, RowCountSourceBatchesIndicesAndLabelsOnly) {
+  // The storage-mode trainer's source: an order and labels, no features.
+  BatchSource counted(103, labels_.data(), 16);
+  BatchSource in_memory(&feats_, labels_.data(), 16);
+  EXPECT_EQ(counted.num_samples(), 103u);
+  EXPECT_EQ(counted.num_batches(), 7u);
+  Rng r1(7), r2(7);
+  counted.set_epoch_order(ChunkReshuffler(8).epoch_order(103, r1));
+  in_memory.set_epoch_order(ChunkReshuffler(8).epoch_order(103, r2));
+  for (std::size_t k = 0; k < counted.num_batches(); ++k) {
+    const MiniBatch got = counted.index_batch(k);
+    const MiniBatch want = in_memory.assemble_fused(k);
+    EXPECT_EQ(got.indices, want.indices);
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_TRUE(got.features.empty());
+  }
+  EXPECT_THROW(counted.assemble_fused(0), std::logic_error);
+  EXPECT_THROW(counted.assemble_baseline(0), std::logic_error);
+  EXPECT_THROW(counted.set_epoch_order({1, 2, 3}), std::invalid_argument);
+  EXPECT_THROW(BatchSource(103, labels_.data(), 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +376,87 @@ TEST_P(StoreReadTest, TruncatedHopFileThrowsInsteadOfPartialBatch) {
   Tensor ok({1024, 15});
   store.read_chunk(0, 1024, ok);  // before the cut: still readable
 }
+
+// create() over a row selection against create() over the gathered rows:
+// the same files, byte for byte.  8,000 rows of 64 features put a whole
+// hop past several int8 encode buffers (68-byte records) and a scattered
+// selection past several IOV_MAX pwritev batches, each with a short tail.
+class StoreSelectTest : public ::testing::TestWithParam<RowCodec> {
+ protected:
+  void SetUp() override {
+    Rng rng(21);
+    for (int h = 0; h < 3; ++h) hops_.push_back(Tensor::normal({8000, 64}, rng));
+    dir_ = ::testing::TempDir() + "/ppgnn_store_select_" +
+           codec_name(GetParam());
+  }
+  static std::string slurp(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+  }
+  // Hop files of two stores in dirs a and b are equal, byte for byte.
+  static void expect_same_files(const std::string& a, const std::string& b,
+                                std::size_t bytes_per_hop) {
+    for (int h = 0; h < 3; ++h) {
+      const std::string name = "/hop_" + std::to_string(h) + ".bin";
+      const std::string got = slurp(a + name);
+      ASSERT_EQ(got.size(), bytes_per_hop) << name;
+      EXPECT_TRUE(got == slurp(b + name)) << name;
+    }
+  }
+  void expect_same_files_as_gathered(const std::vector<std::int64_t>& rows) {
+    const FeatureFileStore got =
+        FeatureFileStore::create(dir_ + "_sel", hops_, GetParam(), &rows);
+    std::vector<Tensor> gathered;
+    for (const Tensor& hop : hops_) gathered.push_back(gather_rows(hop, rows));
+    (void)FeatureFileStore::create(dir_ + "_gat", gathered, GetParam());
+    EXPECT_EQ(got.num_rows(), rows.size());
+    expect_same_files(dir_ + "_sel", dir_ + "_gat",
+                      rows.size() * got.hop_row_bytes());
+  }
+  std::vector<Tensor> hops_;
+  std::string dir_;
+};
+
+TEST_P(StoreSelectTest, SelectedRowsWriteTheGatheredFiles) {
+  ASSERT_GT(8000 * (sizeof(float) + 64),
+            2 * FeatureFileStore::kEncodeBufferBytes);
+  Rng rng(22);
+  std::vector<std::int64_t> all(8000);
+  std::iota(all.begin(), all.end(), 0);
+  std::vector<std::int64_t> scattered = all;
+  rng.shuffle(scattered);
+  scattered.resize(5000);  // ~5,000 runs: 4 full IOV_MAX batches + a tail
+  std::vector<std::int64_t> contiguous(all.begin() + 1000,
+                                       all.begin() + 7001);
+  // Runs of 1 to 40 rows in shuffled chunk order, plus a repeated row.
+  std::vector<std::int64_t> chunks = ChunkReshuffler(40).epoch_order(8000, rng);
+  chunks.resize(3333);
+  chunks.push_back(chunks.back());
+  for (const auto* rows : {&all, &scattered, &contiguous, &chunks}) {
+    SCOPED_TRACE(rows->size());
+    expect_same_files_as_gathered(*rows);
+  }
+  expect_same_files_as_gathered({7999});
+}
+
+TEST_P(StoreSelectTest, NoSelectionWritesEveryRow) {
+  std::vector<std::int64_t> all(8000);
+  std::iota(all.begin(), all.end(), 0);
+  const FeatureFileStore store =
+      FeatureFileStore::create(dir_ + "_all", hops_, GetParam());
+  (void)FeatureFileStore::create(dir_ + "_ids", hops_, GetParam(), &all);
+  EXPECT_EQ(store.num_rows(), 8000u);
+  expect_same_files(dir_ + "_all", dir_ + "_ids",
+                    8000 * store.hop_row_bytes());
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, StoreSelectTest,
+                         ::testing::Values(RowCodec::kFp32, RowCodec::kInt8),
+                         [](const auto& info) {
+                           return std::string(codec_name(info.param));
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Codecs, StoreReadTest,
                          ::testing::Values(RowCodec::kFp32, RowCodec::kInt8),
