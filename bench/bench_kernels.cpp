@@ -1,14 +1,16 @@
 // Kernel microbenchmarks (google-benchmark): the primitive costs that the
-// hardware cost model abstracts — GEMM, SpMM, fused vs per-row gather, and
-// the fp32 and INT8 GEMMs per kernel-ladder arm — measured for real on
-// this machine.  The per-row vs fused assembly gap is the CPU-side ground truth
-// behind the paper's Section 4.1 optimization.
+// hardware cost model abstracts — GEMM, fused vs per-row gather, and the
+// fp32 GEMM, SpMM and INT8 GEMM per kernel-ladder arm — measured for real
+// on this machine.  The per-row vs fused assembly gap is the CPU-side
+// ground truth behind the paper's Section 4.1 optimization.
 //
 // --ladder-json=PATH bypasses google-benchmark and appends one
 // kernel_ladder record per supported ISA arm into the JSON array at PATH
 // (BENCH_serving.json in CI) — the per-ISA GEMM table the fleetsim
-// calibration and sim::CpuGemmSpec::measured() consume.  Each arm's rate
-// is the median of 21 rounds of 500 calls after 2,000 warm-up calls.
+// calibration and sim::CpuGemmSpec::measured() consume.  Each arm gets
+// 2,000 warm-up calls, then 21 rounds of 500 calls, run round by round
+// (round r of every arm before round r+1) so that a stretch of slow host
+// time lands on every arm; its rate is its median round.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/dataset.h"
+#include "graph/generator.h"
 #include "graph/normalize.h"
 #include "graph/spmm.h"
 #include "loader/host_loader.h"
@@ -106,17 +108,52 @@ void BM_GemmS8Ladder(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmS8Ladder)->DenseRange(0, static_cast<int>(kNumIsa) - 1);
 
-void BM_Spmm(benchmark::State& state) {
-  const auto ds = graph::make_dataset(graph::DatasetName::kProductsSim, 0.25);
-  const auto a = graph::sym_normalized(ds.graph);
-  Tensor y({a.num_nodes(), ds.features.cols()});
-  for (auto _ : state) {
-    graph::spmm(a, ds.features, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * a.num_edges());
+// The SpMM ladder (docs/kernels.md) on perfbench's graphs: one hop of
+// sym-normalized propagation (self loops added) over a 100k-node SBM of
+// average degree 10, at the width of each workload's precompute: 32 on
+// the serving graph (degree_power 1.6), 256 on the training graph
+// (993,688 edges before the self loops).  Arg 0 is the ISA rung (its SpMM
+// arm is the label), arg 1 the width.
+const graph::CsrGraph& perfbench_operator(std::size_t width) {
+  const auto make = [](double degree_power) {
+    graph::SbmConfig sc;
+    sc.num_nodes = 100000;
+    sc.num_classes = 16;
+    sc.avg_degree = 10.0;
+    sc.degree_power = degree_power;
+    return graph::sym_normalized(graph::generate_sbm(sc).graph);
+  };
+  static const graph::CsrGraph serving = make(1.6);
+  static const graph::CsrGraph training = make(2.1);
+  return width == 32 ? serving : training;
 }
-BENCHMARK(BM_Spmm);
+
+void BM_SpmmLadder(benchmark::State& state) {
+  const Isa rung = static_cast<Isa>(state.range(0));
+  if (!isa_supported(rung)) {
+    state.SkipWithError("arm not supported on this host");
+    return;
+  }
+  const auto f = static_cast<std::size_t>(state.range(1));
+  const graph::CsrGraph& a = perfbench_operator(f);
+  Rng rng(7);
+  const Tensor x = Tensor::normal({a.num_nodes(), f}, rng);
+  Tensor y({a.num_nodes(), f});
+  set_isa_override(rung);
+  state.SetLabel(gemm_f32_arm());
+  for (auto _ : state) {
+    graph::spmm(a, x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  clear_isa_override();
+  state.SetItemsProcessed(state.iterations() * a.num_edges());
+  state.SetBytesProcessed(state.iterations() * a.num_edges() * f *
+                          sizeof(float));
+}
+BENCHMARK(BM_SpmmLadder)
+    ->ArgsProduct({{0, 2, 3}, {32, 256}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AssemblyBaseline(benchmark::State& state) {
   Rng rng(2);
@@ -184,8 +221,44 @@ int run_ladder_json(const std::string& path) {
   const Tensor w = Tensor::normal({kLadderN, kLadderK}, rng, 0.f, 1.f);
   const QuantizedActs xq = quantize_acts_per_row(x);
 
+  struct Arm {
+    Isa isa;
+    QuantizedMatrix wq;
+    Tensor c;
+    std::vector<double> round_s;
+  };
+  std::vector<Arm> arms;
+  for (std::size_t i = 0; i < kNumIsa; ++i) {
+    const Isa isa = static_cast<Isa>(i);
+    if (isa_supported(isa)) arms.push_back({isa, quantize_per_row(w, isa)});
+  }
+  // The host's rate moves in stretches of seconds, so the arms are timed
+  // round by round rather than one after another: a slow stretch then
+  // lands on every arm, and each arm's median round shares the others'
+  // conditions.  fleetsim reads this table as the arms' rates.
+  for (Arm& a : arms) {
+    for (int r = 0; r < kLadderWarmupCalls; ++r) gemm_s8_nt(xq, a.wq, a.c);
+  }
+  for (int round = 0; round < kLadderRounds; ++round) {
+    for (Arm& a : arms) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int r = 0; r < kLadderCallsPerRound; ++r) gemm_s8_nt(xq, a.wq, a.c);
+      a.round_s.push_back(std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+    }
+  }
+  std::vector<double> gops(kNumIsa, 0.0);
+  for (Arm& a : arms) {
+    std::nth_element(a.round_s.begin(), a.round_s.begin() + kLadderRounds / 2,
+                     a.round_s.end());
+    gops[static_cast<std::size_t>(a.isa)] =
+        2.0 * static_cast<double>(kLadderM) * kLadderK * kLadderN *
+        kLadderCallsPerRound / a.round_s[kLadderRounds / 2] / 1e9;
+  }
+  const double sse2_gops = gops[static_cast<std::size_t>(Isa::kSse2)];
+
   std::vector<std::string> records;
-  double sse2_gops = 0;
   for (std::size_t i = 0; i < kNumIsa; ++i) {
     const Isa arm = static_cast<Isa>(i);
     char buf[384];
@@ -199,37 +272,17 @@ int run_ladder_json(const std::string& path) {
       std::printf("%-12s unsupported\n", isa_name(arm));
       continue;
     }
-    const QuantizedMatrix wq = quantize_per_row(w, arm);
-    Tensor c;
-    // Warm up, then take the median of 21 timed rounds: one short timing
-    // swings with the load of other guests on a shared host, and fleetsim
-    // reads this table as the arm's rate.
-    for (int r = 0; r < kLadderWarmupCalls; ++r) gemm_s8_nt(xq, wq, c);
-    std::vector<double> round_s(kLadderRounds);
-    for (double& sec : round_s) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < kLadderCallsPerRound; ++r) gemm_s8_nt(xq, wq, c);
-      sec = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
-    }
-    std::nth_element(round_s.begin(), round_s.begin() + kLadderRounds / 2,
-                     round_s.end());
-    const double gops = 2.0 * static_cast<double>(kLadderM) * kLadderK *
-                        kLadderN * kLadderCallsPerRound /
-                        round_s[kLadderRounds / 2] / 1e9;
-    if (arm == Isa::kSse2) sse2_gops = gops;
-    const double vs = sse2_gops > 0 ? gops / sse2_gops : 0.0;
+    const double vs = sse2_gops > 0 ? gops[i] / sse2_gops : 0.0;
     std::snprintf(buf, sizeof(buf),
                   "{\"section\":\"kernel_ladder\","
                   "\"source\":\"bench_kernels\",\"isa\":\"%s\","
                   "\"supported\":true,\"gemm_m\":%zu,\"gemm_k\":%zu,"
                   "\"gemm_n\":%zu,\"gemm_gops\":%.2f,"
                   "\"gemm_speedup_vs_sse2\":%.2f,\"active\":%s}",
-                  isa_name(arm), kLadderM, kLadderK, kLadderN, gops, vs,
+                  isa_name(arm), kLadderM, kLadderK, kLadderN, gops[i], vs,
                   arm == dispatched ? "true" : "false");
     records.emplace_back(buf);
-    std::printf("%-12s %8.1f Gop/s (%.2fx sse2)%s\n", isa_name(arm), gops,
+    std::printf("%-12s %8.1f Gop/s (%.2fx sse2)%s\n", isa_name(arm), gops[i],
                 vs, arm == dispatched ? "  [dispatched]" : "");
   }
 

@@ -3,14 +3,17 @@
 // For each analogue: real preprocessing wall time, real mean epoch time of
 // HOGA at the dataset's maximum hop count, and the resulting ratio — the
 // paper's "one-time cost amortized over training" argument.  The paper's
-// own ratios are printed alongside.
+// own ratios are printed alongside.  Preprocessing runs graph::spmm, whose
+// arm (docs/kernels.md, "The SpMM ladder") the header line names.
 #include "common.h"
+#include "tensor/ops.h"
 
 using namespace ppgnn;
 using namespace ppgnn::bench;
 
 int main() {
   header("Table 7: preprocessing cost vs one training run (analogues, real)");
+  std::printf("SpMM arm: %s\n", gemm_f32_arm());
   std::printf("%-16s %6s %10s %12s %8s %14s %8s\n", "dataset", "hops",
               "pre (s)", "epoch (s)", "epochs", "run est (s)", "ratio");
 

@@ -95,7 +95,7 @@ if [[ -n "${PPGNN_ISA:-}" ]]; then
     exit 0
   fi
   export PPGNN_ISA
-  # Logs the int8 arm and the fp32 GEMM arm this leg forces.
+  # Logs the int8 arm and the fp32 GEMM and SpMM arms this leg forces.
   ./build/isa_probe_cli
 fi
 

@@ -1,10 +1,10 @@
-// isa_probe_cli — report the INT8 and fp32 GEMM kernel ladders on this
-// host.
+// isa_probe_cli — report the INT8 GEMM, fp32 GEMM and SpMM kernel ladders
+// on this host.
 //
 // Prints one row per ladder arm: whether the binary carries the arm
 // (compiled), whether this CPU can run it (supported), and which arm the
 // runtime dispatch would pick right now (active — honours PPGNN_ISA);
-// then the fp32 GEMM arm that active rung dispatches to.
+// then the fp32 GEMM and SpMM arms that active rung dispatches to.
 //
 //   --require ARM   exit 0 if ARM is supported on this host, 3 if not.
 //                   CI matrix legs use this to skip a forced-arm leg on
@@ -53,5 +53,6 @@ int main(int argc, char** argv) {
   std::printf("fp32 GEMM arm (avx512 on avx512vnni, avx2 on avx2, else "
               "scalar): %s\n",
               gemm_f32_arm());
+  std::printf("SpMM arm (the fp32 GEMM's table): %s\n", gemm_f32_arm());
   return 0;
 }

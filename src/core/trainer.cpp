@@ -121,11 +121,12 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
   result.row_bytes = pre.row_bytes();
   result.bytes_loaded_per_epoch = result.train_rows * result.row_bytes;
 
-  // Storage mode: feature tensors of processed full batches, handed back
-  // to the loader thread, which reads later batches into them instead of
-  // allocating and zero-filling a new tensor per batch.  read_chunk
-  // overwrites every element, and no model keeps a reference to its batch
-  // past backward().
+  // Storage mode: feature tensors of processed batches, handed back to the
+  // loader thread, which reads later batches of the same row count into
+  // them instead of allocating and zero-filling a new tensor per batch.
+  // Only an epoch's last batch can be short, so `spare` holds at most the
+  // batches in flight plus that one.  read_chunk overwrites every element,
+  // and no model keeps a reference to its batch past backward().
   std::mutex spare_mu;
   std::vector<Tensor> spare;
 
@@ -140,11 +141,15 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
         // reshuffling makes batches mostly contiguous on disk), each run
         // straight into its rows of the batch.
         loader::MiniBatch mb = source.index_batch(k);
-        if (mb.indices.size() == cfg.batch_size) {
+        {
           std::lock_guard<std::mutex> lk(spare_mu);
-          if (!spare.empty()) {
-            mb.features = std::move(spare.back());
-            spare.pop_back();
+          const auto it =
+              std::find_if(spare.begin(), spare.end(), [&](const Tensor& t) {
+                return t.rows() == mb.indices.size();
+              });
+          if (it != spare.end()) {
+            mb.features = std::move(*it);
+            spare.erase(it);
           }
         }
         if (mb.features.empty()) {
@@ -224,7 +229,7 @@ PpTrainResult train_pp(PpModel& model, const Preprocessed& pre,
       const auto t_opt = Clock::now();
       opt.step();
       rec.optimizer_seconds += seconds_since(t_opt);
-      if (store && mb.features.rows() == cfg.batch_size) {
+      if (store) {
         std::lock_guard<std::mutex> lk(spare_mu);
         spare.push_back(std::move(mb.features));
       }

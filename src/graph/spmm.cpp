@@ -1,7 +1,10 @@
 #include "graph/spmm.h"
 
 #include <stdexcept>
+#include <type_traits>
 
+#include "tensor/cpu_features.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/parallel.h"
 
 namespace ppgnn::graph {
@@ -21,10 +24,34 @@ void check_spmm_shapes(const CsrGraph& a, const Tensor& x, const Tensor& y,
   }
 }
 
+static_assert(std::is_same_v<NodeId, std::int32_t> &&
+              std::is_same_v<EdgeIdx, std::int64_t>);
+
+// Runs output rows on the rung's wide arm (tensor/gemm_kernels.h), split
+// across the pool like the oracle below.  Returns false on the scalar and
+// sse2 rungs, which run the oracle.
+bool spmm_wide(const CsrGraph& a, const NodeId* rows, std::size_t out_rows,
+               const Tensor& x, Tensor& y) {
+  const detail::F32Arm* arm = detail::wide_arm(active_isa());
+  if (arm == nullptr) return false;
+  const detail::SpmmArgs s{a.offsets().data(),
+                           a.indices().data(),
+                           a.weighted() ? a.values().data() : nullptr,
+                           rows,
+                           x.data(),
+                           y.data(),
+                           x.cols()};
+  parallel_for(out_rows, [&](std::size_t i0, std::size_t i1) {
+    arm->spmm(s, i0, i1);
+  }, /*grain=*/64);
+  return true;
+}
+
 }  // namespace
 
 void spmm(const CsrGraph& a, const Tensor& x, Tensor& y) {
   check_spmm_shapes(a, x, y, a.num_nodes());
+  if (spmm_wide(a, nullptr, a.num_nodes(), x, y)) return;
   const std::size_t f = x.cols();
   const bool weighted = a.weighted();
   parallel_for(a.num_nodes(), [&](std::size_t v0, std::size_t v1) {
@@ -52,6 +79,7 @@ Tensor spmm(const CsrGraph& a, const Tensor& x) {
 void spmm_rows(const CsrGraph& a, const std::vector<NodeId>& rows,
                const Tensor& x, Tensor& y) {
   check_spmm_shapes(a, x, y, rows.size());
+  if (spmm_wide(a, rows.data(), rows.size(), x, y)) return;
   const std::size_t f = x.cols();
   const bool weighted = a.weighted();
   parallel_for(rows.size(), [&](std::size_t i0, std::size_t i1) {

@@ -3,6 +3,15 @@
 // These kernels implement feature propagation: Y[v] = sum_{u in N(v)}
 // w(v,u) * X[u].  They are the compute core of PP-GNN preprocessing
 // (src/core/precompute.*) and of the MP-GNN aggregation layers.
+//
+// spmm and spmm_rows are a runtime-dispatched ladder on the fp32 GEMM's
+// rungs (docs/kernels.md, "The SpMM ladder"): the scalar loops in spmm.cpp
+// are the oracle, and on the avx512vnni and avx2 rungs an AVX-512 or AVX2
+// arm holds a column tile of each output row in registers over its whole
+// neighbour loop.  Every arm runs each output element's operations in the
+// oracle's order, 0 + w_0 * x_0 + w_1 * x_1 + ... in CSR order with no
+// FMA, so all arms are memcmp-equal on any pool size.  gemm_f32_arm()
+// (tensor/ops.h) names the arm that runs.
 #pragma once
 
 #include "graph/csr.h"

@@ -13,9 +13,10 @@
 // ONCE, at quantize_per_row() time: the weight matrix is packed into the
 // selected arm's layout and gemm_s8_nt dispatches on that layout.
 //
-// The fp32 GEMM (tensor/ops.h) follows the same rung on every call, with
-// its own arms: avx512vnni runs its AVX-512 arm, avx2 its AVX2 arm, sse2
-// and scalar its scalar oracle (gemm_f32_arm() names the choice).
+// The fp32 GEMM (tensor/ops.h) and the SpMM (graph/spmm.h) follow the
+// same rung on every call, with their own arms: avx512vnni runs their
+// AVX-512 arms, avx2 their AVX2 arms, sse2 and scalar their scalar
+// oracles (gemm_f32_arm() names the choice).
 //
 // Selection = min(requested, what this CPU+OS can run), in ladder order:
 // requesting an arm the host lacks degrades to the widest arm below it,

@@ -1,9 +1,10 @@
-// AVX2 arm of the fp32 GEMM ladder (gemm_kernels.h): gemm_tile.h's
-// kernel on ymm registers, tiles of 4 rows by up to 2 registers (16
-// columns).  AVX has no masked add, so the update form's zero skip blends
-// the sum back over the accumulator with the compare mask, which leaves a
-// skipped step's accumulator bits untouched; column tails use vmaskmov
-// loads and stores.
+// AVX2 arm of the fp32 GEMM and SpMM ladders (gemm_kernels.h):
+// gemm_tile.h's kernels on ymm registers.  GEMM tiles are 4 rows by up to
+// 2 registers (16 columns), SpMM tiles one row by up to 4 (32 columns).
+// AVX has no masked add, so the update form's zero skip blends the sum
+// back over the accumulator with the compare mask, which leaves a skipped
+// step's accumulator bits untouched; column tails use vmaskmov loads and
+// stores.
 //
 // This TU is compiled with -mavx2 -ffp-contract=off wherever the avx2
 // int8 TU is compiled (CMakeLists.txt) and runs only on that rung, after
@@ -69,12 +70,17 @@ void gemm_f32_dot_avx2(const GemmF32Args& g, std::size_t i0, std::size_t i1) {
   rows<Ymm, Form::kDot>(g, i0, i1);
 }
 
+void spmm_avx2(const SpmmArgs& s, std::size_t i0, std::size_t i1) {
+  spmm<Ymm>(s, i0, i1);
+}
+
 #else
 
 // Unreachable: without -mavx2 the avx2 rung is not compiled either, so
 // active_isa() never selects this arm.
 void gemm_f32_update_avx2(const GemmF32Args&, std::size_t, std::size_t) {}
 void gemm_f32_dot_avx2(const GemmF32Args&, std::size_t, std::size_t) {}
+void spmm_avx2(const SpmmArgs&, std::size_t, std::size_t) {}
 
 #endif
 

@@ -1,8 +1,9 @@
-// AVX-512 arm of the fp32 GEMM ladder (gemm_kernels.h): gemm_tile.h's
-// kernel on zmm registers, tiles of 4 rows by up to 4 registers (64
-// columns).  The update form's zero skip is a masked add, which leaves a
-// skipped step's accumulator bits untouched, -0 and NaN included; column
-// tails use masked loads and stores.
+// AVX-512 arm of the fp32 GEMM and SpMM ladders (gemm_kernels.h):
+// gemm_tile.h's kernels on zmm registers.  GEMM tiles are 4 rows by up to
+// 4 registers (64 columns), SpMM tiles one row by up to 4.  The update
+// form's zero skip is a masked add, which leaves a skipped step's
+// accumulator bits untouched, -0 and NaN included; column tails use
+// masked loads and stores.
 //
 // This TU gets the avx512vnni int8 TU's flags, -mavx512f -mavx512vnni
 // -ffp-contract=off (CMakeLists.txt), though it uses only AVX-512F, and
@@ -69,12 +70,17 @@ void gemm_f32_dot_avx512(const GemmF32Args& g, std::size_t i0,
   rows<Zmm, Form::kDot>(g, i0, i1);
 }
 
+void spmm_avx512(const SpmmArgs& s, std::size_t i0, std::size_t i1) {
+  spmm<Zmm>(s, i0, i1);
+}
+
 #else
 
 // Unreachable: without these flags the avx512vnni rung is not compiled
 // either, so active_isa() never selects this arm.
 void gemm_f32_update_avx512(const GemmF32Args&, std::size_t, std::size_t) {}
 void gemm_f32_dot_avx512(const GemmF32Args&, std::size_t, std::size_t) {}
+void spmm_avx512(const SpmmArgs&, std::size_t, std::size_t) {}
 
 #endif
 

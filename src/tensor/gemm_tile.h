@@ -1,25 +1,30 @@
-// The register-tiled kernel behind the wide arms of the fp32 GEMM ladder
-// (gemm_kernels.h).  gemm_kernel_avx512.cpp and gemm_kernel_avx2.cpp each
-// include it under their own -m flags with a vector type V:
+// The register-tiled kernels behind the wide arms of the fp32 GEMM and
+// SpMM ladders (gemm_kernels.h).  gemm_kernel_avx512.cpp and
+// gemm_kernel_avx2.cpp each include it under their own -m flags with a
+// vector type V:
 //
 //   reg, Tail, Live         register, column-tail mask, skip mask types
-//   kLanes, kMaxVecs        floats per register, registers per tile row
+//   kLanes, kMaxVecs        floats per register, registers per GEMM tile row
 //   tail(n)                 the mask of a tile's last register (n lanes)
 //   zero(), set1(x), mul(a, b), add(a, b)
 //   load(p, tail, last), store(p, tail, last, v)   masked when last
 //   live(av)                av != 0, unordered counting as nonzero
 //   add_live(acc, live, v)  acc + v where live, acc's bits elsewhere
 //
-// A tile is kRows rows of C by up to kMaxVecs registers, held for the
+// A GEMM tile is kRows rows of C by up to kMaxVecs registers, held for the
 // whole k loop: each step broadcasts one A value per row, loads one row
 // of B per register, and repeats the scalar oracle's per-output
-// operation.  Everything here has internal linkage on purpose: each TU
-// gets its own copy compiled for its own ISA, so no symbol built with
-// -mavx512f can stand in for one the AVX2 TU calls.
+// operation.  An SpMM tile is one output row by up to kSpmmVecs
+// registers, held for the whole neighbour loop: each edge broadcasts its
+// weight and loads one row segment of X per register.  Everything here
+// has internal linkage on purpose: each TU gets its own copy compiled for
+// its own ISA, so no symbol built with -mavx512f can stand in for one the
+// AVX2 TU calls.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/gemm_kernels.h"
 
@@ -123,6 +128,72 @@ void rows(const GemmF32Args& g, std::size_t i0, std::size_t i1) {
     }
     for (; i < i1; ++i) tiles<V, 1, F>(g, i, j, vecs, tail);
   }
+}
+
+constexpr std::size_t kSpmmVecs = 4;
+
+// Columns [j, j + W registers) of output row i: the oracle's
+// y = 0; y = y + w_e * x(u_e, j) over the row's edges in CSR order.  With
+// kTail the last register loads and stores under `tail`.
+template <class V, std::size_t W, bool kWeighted, bool kTail>
+void spmm_tile(const SpmmArgs& s, std::size_t i, std::size_t j,
+               const typename V::Tail& tail) {
+  using reg = typename V::reg;
+  const std::size_t v = s.rows ? static_cast<std::size_t>(s.rows[i]) : i;
+  const std::int64_t e1 = s.offsets[v + 1];
+  reg acc[W];
+#pragma GCC unroll 4
+  for (std::size_t w = 0; w < W; ++w) acc[w] = V::zero();
+  for (std::int64_t e = s.offsets[v]; e < e1; ++e) {
+    const reg wt = V::set1(kWeighted ? s.values[e] : 1.f);
+    const float* src = s.x + static_cast<std::size_t>(s.indices[e]) * s.f + j;
+#pragma GCC unroll 4
+    for (std::size_t w = 0; w < W; ++w) {
+      acc[w] = V::add(acc[w], V::mul(wt, V::load(src + w * V::kLanes, tail,
+                                                 kTail && w + 1 == W)));
+    }
+  }
+  float* out = s.y + i * s.f + j;
+#pragma GCC unroll 4
+  for (std::size_t w = 0; w < W; ++w) {
+    V::store(out + w * V::kLanes, tail, kTail && w + 1 == W, acc[w]);
+  }
+}
+
+// The last, partial tile of a row: `vecs` registers, the last under
+// `tail`.
+template <class V, bool kWeighted>
+void spmm_tail_tile(const SpmmArgs& s, std::size_t i, std::size_t j,
+                    std::size_t vecs, const typename V::Tail& tail) {
+  static_assert(kSpmmVecs == 4);
+  if (vecs == 4) return spmm_tile<V, 4, kWeighted, true>(s, i, j, tail);
+  if (vecs == 3) return spmm_tile<V, 3, kWeighted, true>(s, i, j, tail);
+  if (vecs == 2) return spmm_tile<V, 2, kWeighted, true>(s, i, j, tail);
+  spmm_tile<V, 1, kWeighted, true>(s, i, j, tail);
+}
+
+// Output rows [i0, i1), every column; a row's tiles run back to back, so
+// its neighbours' rows are still in cache for the tiles after the first.
+template <class V, bool kWeighted>
+void spmm_rows(const SpmmArgs& s, std::size_t i0, std::size_t i1) {
+  constexpr std::size_t kTileCols = kSpmmVecs * V::kLanes;
+  const std::size_t full = s.f / kTileCols * kTileCols;
+  const std::size_t rest = s.f - full;
+  const std::size_t rest_vecs = (rest + V::kLanes - 1) / V::kLanes;
+  const typename V::Tail tail =
+      V::tail(rest == 0 ? V::kLanes : rest - (rest_vecs - 1) * V::kLanes);
+  for (std::size_t i = i0; i < i1; ++i) {
+    for (std::size_t j = 0; j < full; j += kTileCols) {
+      spmm_tile<V, kSpmmVecs, kWeighted, false>(s, i, j, tail);
+    }
+    if (rest != 0) spmm_tail_tile<V, kWeighted>(s, i, full, rest_vecs, tail);
+  }
+}
+
+template <class V>
+void spmm(const SpmmArgs& s, std::size_t i0, std::size_t i1) {
+  if (s.values != nullptr) return spmm_rows<V, true>(s, i0, i1);
+  spmm_rows<V, false>(s, i0, i1);
 }
 
 }  // namespace

@@ -83,25 +83,6 @@ void gemm_rows_scalar(const MatView& A, bool trans_a, const MatView& B,
   }
 }
 
-// The wide arms of the fp32 ladder, keyed on the int8 ladder's rungs:
-// avx512vnni runs the AVX-512 arm, avx2 the AVX2 arm, sse2 and scalar the
-// oracle above.
-struct F32Arm {
-  const char* name;
-  void (*update)(const detail::GemmF32Args&, std::size_t, std::size_t);
-  void (*dot)(const detail::GemmF32Args&, std::size_t, std::size_t);
-};
-
-const F32Arm* wide_arm(Isa isa) {
-  static constexpr F32Arm kAvx512{"avx512", &detail::gemm_f32_update_avx512,
-                                  &detail::gemm_f32_dot_avx512};
-  static constexpr F32Arm kAvx2{"avx2", &detail::gemm_f32_update_avx2,
-                                &detail::gemm_f32_dot_avx2};
-  if (isa >= Isa::kAvx512Vnni) return &kAvx512;
-  if (isa >= Isa::kAvx2) return &kAvx2;
-  return nullptr;
-}
-
 // Rows are handed out in blocks of the wide arms' register tile height.
 constexpr std::size_t kRowBlock = 4;
 // Multiply-adds below which a wide arm stays on the calling thread.  On
@@ -118,7 +99,7 @@ constexpr std::size_t kParallelFloor = std::size_t{1} << 23;
 }  // namespace
 
 const char* gemm_f32_arm() {
-  const F32Arm* arm = wide_arm(active_isa());
+  const detail::F32Arm* arm = detail::wide_arm(active_isa());
   return arm ? arm->name : "scalar";
 }
 
@@ -137,7 +118,7 @@ void gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
 
   std::function<void(std::size_t, std::size_t)> rows;
   std::vector<float> bt;  // B^T row-major for the transposed-B arms
-  const F32Arm* arm = wide_arm(active_isa());
+  const detail::F32Arm* arm = detail::wide_arm(active_isa());
   detail::GemmF32Args g{A.p, A.rs, A.cs, B.p, C, m, k, n, alpha, beta};
   if (arm == nullptr) {
     rows = [&](std::size_t i0, std::size_t i1) {

@@ -2,6 +2,8 @@
 // with the PP-GNN models and the input-expansion accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/precompute.h"
 #include "core/sign.h"
 #include "core/trainer.h"
@@ -78,10 +80,22 @@ TEST(MultiOperator, RejectsEmptyConfig) {
 }
 
 TEST(MultiOperator, PreprocessTimeAccumulates) {
+  // precompute_multi sums its three operators' times, so it reads about
+  // 3x one operator's; a multi that kept only the last operator's time
+  // would read about 1x.  Single cold timings of a millisecond swing past
+  // that (the first call also builds the pool), so both sides are timed
+  // warm, as the minimum of 5 runs each.
   const auto ds = graph::make_dataset(graph::DatasetName::kPokecSim, 0.05);
-  const auto one = precompute(ds.graph, ds.features, {});
-  const auto multi = precompute_multi(ds.graph, ds.features, three_kernels(3));
-  EXPECT_GT(multi.preprocess_seconds, one.preprocess_seconds);
+  (void)precompute(ds.graph, ds.features, {});
+  double one = 1e30, multi = 1e30;
+  for (int run = 0; run < 5; ++run) {
+    one = std::min(one, precompute(ds.graph, ds.features, {})
+                            .preprocess_seconds);
+    multi = std::min(
+        multi, precompute_multi(ds.graph, ds.features, three_kernels(3))
+                   .preprocess_seconds);
+  }
+  EXPECT_GT(multi, 2 * one);
 }
 
 TEST(MultiOperator, ExpansionMatchesPaperFormula) {
