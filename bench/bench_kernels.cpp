@@ -1,8 +1,9 @@
 // Kernel microbenchmarks (google-benchmark): the primitive costs that the
-// hardware cost model abstracts — GEMM, fused vs per-row gather, and the
-// fp32 GEMM, SpMM and INT8 GEMM per kernel-ladder arm — measured for real
-// on this machine.  The per-row vs fused assembly gap is the CPU-side
-// ground truth behind the paper's Section 4.1 optimization.
+// hardware cost model abstracts — GEMM, fused vs per-row gather, the
+// fp32 GEMM, SpMM and INT8 GEMM per kernel-ladder arm, and a storage
+// chunk read — measured for real on this machine.  The per-row vs fused
+// assembly gap is the CPU-side ground truth behind the paper's Section
+// 4.1 optimization.
 //
 // --ladder-json=PATH bypasses google-benchmark and appends one
 // kernel_ladder record per supported ISA arm into the JSON array at PATH
@@ -13,10 +14,15 @@
 // time lands on every arm; its rate is its median round.
 #include <benchmark/benchmark.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,8 +30,10 @@
 #include "graph/normalize.h"
 #include "graph/spmm.h"
 #include "loader/host_loader.h"
+#include "loader/storage.h"
 #include "tensor/cpu_features.h"
 #include "tensor/ops.h"
+#include "tensor/parallel.h"
 #include "tensor/quant.h"
 #include "tensor/rng.h"
 
@@ -154,6 +162,65 @@ void BM_SpmmLadder(benchmark::State& state) {
 BENCHMARK(BM_SpmmLadder)
     ->ArgsProduct({{0, 2, 3}, {32, 256}})
     ->Unit(benchmark::kMillisecond);
+
+// The other side of SGC's training step: one 1,024-row chunk of
+// train_sgc_storage's store, 4 hop files of 256-wide fp32 rows (4 MiB),
+// read into a batch with read_chunk.  The store holds 16 chunks in a
+// mkdtemp directory under /tmp, removed at exit, and they are read in
+// turn.  Arg 0 = 0 reads serially (the whole loop runs inside one pool
+// task, where read_chunk's io_pool() call stays on its caller), 1 splits
+// the hop files across io_pool() (PPGNN_NUM_THREADS=3 sizes it as
+// perfbench does on 4 cores).
+constexpr std::size_t kStoreHops = 4, kStoreDim = 256, kStoreChunk = 1024,
+                      kStoreChunks = 16;
+
+struct ScratchStore {
+  std::string dir;
+  std::unique_ptr<loader::FeatureFileStore> store;
+
+  ScratchStore() {
+    char tmpl[] = "/tmp/bench_kernels_store.XXXXXX";
+    if (::mkdtemp(tmpl) == nullptr) throw std::runtime_error("mkdtemp");
+    dir = tmpl;
+    Rng rng(8);
+    std::vector<Tensor> hops;
+    for (std::size_t h = 0; h < kStoreHops; ++h) {
+      hops.push_back(
+          Tensor::normal({kStoreChunks * kStoreChunk, kStoreDim}, rng));
+    }
+    store = std::make_unique<loader::FeatureFileStore>(
+        loader::FeatureFileStore::create(dir, hops));
+  }
+  ~ScratchStore() {
+    store.reset();
+    std::filesystem::remove_all(dir);
+  }
+};
+
+void BM_StoreReadChunk(benchmark::State& state) {
+  static const ScratchStore s;
+  const bool pooled = state.range(0) != 0;
+  Tensor batch({kStoreChunk, kStoreHops * kStoreDim});
+  std::size_t chunk = 0;
+  const auto loop = [&] {
+    for (auto _ : state) {
+      s.store->read_chunk(chunk++ % kStoreChunks * kStoreChunk, kStoreChunk,
+                          batch);
+      benchmark::DoNotOptimize(batch.data());
+      benchmark::ClobberMemory();
+    }
+  };
+  if (pooled) {
+    loop();
+  } else {
+    io_pool().parallel_for(1, [&](std::size_t, std::size_t) { loop(); });
+  }
+  state.SetLabel(pooled ? "pool of " + std::to_string(io_pool().size())
+                        : "serial");
+  state.SetBytesProcessed(state.iterations() * kStoreChunk * kStoreHops *
+                          kStoreDim * sizeof(float));
+}
+BENCHMARK(BM_StoreReadChunk)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_AssemblyBaseline(benchmark::State& state) {
   Rng rng(2);

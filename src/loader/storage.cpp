@@ -9,10 +9,12 @@
 #include <cerrno>
 #include <climits>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <system_error>
 
+#include "tensor/parallel.h"
 #include "tensor/quant.h"
 
 namespace ppgnn::loader {
@@ -165,6 +167,35 @@ void write_rows_int8(int fd, const Tensor& src,
   if (filled > 0) flush();
 }
 
+// Writes one hop file, closing it on success and on failure.
+void write_hop(const std::string& path, const Tensor& src, RowCodec codec,
+               const std::vector<std::int64_t>* rows) {
+  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
+  if (fd < 0) throw_errno("open for write: " + path);
+  try {
+    if (codec == RowCodec::kFp32) {
+      write_rows_fp32(fd, src, rows);
+    } else {
+      write_rows_int8(fd, src, rows);
+    }
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
+}
+
+// fn(h0, h1) over the hop files [0, hops): split across io_pool() from
+// two hops up, one contiguous range of hops per part.
+void for_hop_ranges(std::size_t hops,
+                    const std::function<void(std::size_t, std::size_t)>& fn) {
+  if (hops < 2) {
+    if (hops > 0) fn(0, hops);
+    return;
+  }
+  io_pool().parallel_for(hops, fn);
+}
+
 }  // namespace
 
 const char* codec_name(RowCodec codec) {
@@ -193,22 +224,12 @@ FeatureFileStore FeatureFileStore::create(
     }
   }
   ::mkdir(dir.c_str(), 0755);  // ok if it already exists
-  for (std::size_t h = 0; h < hop_features.size(); ++h) {
-    const int fd = ::open(hop_path(dir, h).c_str(),
-                          O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (fd < 0) throw_errno("open for write: " + hop_path(dir, h));
-    try {
-      if (codec == RowCodec::kFp32) {
-        write_rows_fp32(fd, hop_features[h], rows);
-      } else {
-        write_rows_int8(fd, hop_features[h], rows);
-      }
-    } catch (...) {
-      ::close(fd);
-      throw;
+  // One hop file per stream, each part writing its own range of hops.
+  for_hop_ranges(hop_features.size(), [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      write_hop(hop_path(dir, h), hop_features[h], codec, rows);
     }
-    ::close(fd);
-  }
+  });
   return open(dir, rows != nullptr ? rows->size() : n, hop_features.size(),
               dim, codec);
 }
@@ -320,10 +341,13 @@ void FeatureFileStore::read_chunk(std::size_t row0, std::size_t count,
     throw std::out_of_range("read_chunk: range out of bounds");
   }
   // One run per hop file, each row's hop read straight into its slot of
-  // the per-row hop-major layout.
-  for (std::size_t h = 0; h < hops_; ++h) {
-    read_hop_run(h, row0, count, out + h * dim_, hops_ * dim_);
-  }
+  // the per-row hop-major layout; the parts read disjoint hop ranges, so
+  // each fills its own columns of the rows.
+  for_hop_ranges(hops_, [&](std::size_t h0, std::size_t h1) {
+    for (std::size_t h = h0; h < h1; ++h) {
+      read_hop_run(h, row0, count, out + h * dim_, hops_ * dim_);
+    }
+  });
 }
 
 void FeatureFileStore::read_rows_encoded(

@@ -8,6 +8,13 @@
 // buffer.  An open store keeps only its file descriptors resident; the
 // features live on disk and in the caller's batches.
 //
+// create() and read_chunk() run on io_pool() (tensor/parallel.h), the
+// storage streams' pool, never on the compute pool a training step forks
+// on: from two hops up they split the hop files into one range per pool
+// thread, so each file is its own stream.  The pool runs a call serially
+// on its caller when another read holds it or from inside a pool task; an
+// error in any part reaches the caller after every part is done.
+//
 // Reading supports two access patterns whose performance gap is the whole
 // point of chunk reshuffling on storage:
 //   - read_chunk: contiguous row ranges, one preadv per hop file (per

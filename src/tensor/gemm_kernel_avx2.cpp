@@ -63,7 +63,7 @@ struct Ymm {
 
 void gemm_f32_update_avx2(const GemmF32Args& g, std::size_t i0,
                           std::size_t i1) {
-  rows<Ymm, Form::kUpdate>(g, i0, i1);
+  update_rows<Ymm>(g, i0, i1);
 }
 
 void gemm_f32_dot_avx2(const GemmF32Args& g, std::size_t i0, std::size_t i1) {

@@ -62,7 +62,7 @@ struct Zmm {
 
 void gemm_f32_update_avx512(const GemmF32Args& g, std::size_t i0,
                             std::size_t i1) {
-  rows<Zmm, Form::kUpdate>(g, i0, i1);
+  update_rows<Zmm>(g, i0, i1);
 }
 
 void gemm_f32_dot_avx512(const GemmF32Args& g, std::size_t i0,

@@ -11,15 +11,15 @@
 //   live(av)                av != 0, unordered counting as nonzero
 //   add_live(acc, live, v)  acc + v where live, acc's bits elsewhere
 //
-// A GEMM tile is kRows rows of C by up to kMaxVecs registers, held for the
-// whole k loop: each step broadcasts one A value per row, loads one row
-// of B per register, and repeats the scalar oracle's per-output
-// operation.  An SpMM tile is one output row by up to kSpmmVecs
-// registers, held for the whole neighbour loop: each edge broadcasts its
-// weight and loads one row segment of X per register.  Everything here
-// has internal linkage on purpose: each TU gets its own copy compiled for
-// its own ISA, so no symbol built with -mavx512f can stand in for one the
-// AVX2 TU calls.
+// A GEMM tile is kRows rows of C by up to kMaxVecs registers, or kTallRows
+// rows by one register, held for the whole k loop: each step broadcasts
+// one A value per row, loads one row of B per register, and repeats the
+// scalar oracle's per-output operation.  An SpMM tile is one output row
+// by up to kSpmmVecs registers, held for the whole neighbour loop: each
+// edge broadcasts its weight and loads one row segment of X per register.
+// Everything here has internal linkage on purpose: each TU gets its own
+// copy compiled for its own ISA, so no symbol built with -mavx512f can
+// stand in for one the AVX2 TU calls.
 #pragma once
 
 #include <algorithm>
@@ -32,9 +32,15 @@ namespace ppgnn::detail {
 namespace {
 
 constexpr std::size_t kRows = 4;
+// Rows of a tile one register wide: its accumulators, the B register and
+// the broadcast fit the 16 ymm registers as well as the 32 zmm.
+constexpr std::size_t kTallRows = 8;
 
-// The two operation orders of gemm_kernels.h.
-enum class Form { kUpdate, kDot };
+// The two operation orders of gemm_kernels.h.  kUnitUpdate is the update
+// form at alpha == 1, which steps with av = a(i, l) itself: 1 * x is x
+// for every float, -0 and inf included, and the product av * b(l, j)
+// quiets an sNaN whether or not the multiply by 1 did so first.
+enum class Form { kUpdate, kUnitUpdate, kDot };
 
 // Rows [i, i + R) by registers [0, W) of the column tile starting at j.
 template <class V, std::size_t R, std::size_t W, Form F>
@@ -54,7 +60,7 @@ void tile(const GemmF32Args& g, std::size_t i, std::size_t j,
   float* const ci = g.c + i * n + j;
 
   reg acc[R][W];
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 4
     for (std::size_t w = 0; w < W; ++w) {
@@ -70,11 +76,11 @@ void tile(const GemmF32Args& g, std::size_t i, std::size_t j,
     for (std::size_t w = 0; w < W; ++w) {
       b[w] = V::load(bl + w * V::kLanes, tail, w + 1 == W);
     }
-#pragma GCC unroll 4
+#pragma GCC unroll 8
     for (std::size_t r = 0; r < R; ++r) {
       reg av = V::set1(al[r * a_rs]);
-      if constexpr (F == Form::kUpdate) {
-        av = V::mul(alpha, av);
+      if constexpr (F != Form::kDot) {
+        if constexpr (F == Form::kUpdate) av = V::mul(alpha, av);
         const typename V::Live live = V::live(av);
 #pragma GCC unroll 4
         for (std::size_t w = 0; w < W; ++w) {
@@ -88,7 +94,7 @@ void tile(const GemmF32Args& g, std::size_t i, std::size_t j,
       }
     }
   }
-#pragma GCC unroll 4
+#pragma GCC unroll 8
   for (std::size_t r = 0; r < R; ++r) {
 #pragma GCC unroll 4
     for (std::size_t w = 0; w < W; ++w) {
@@ -114,7 +120,8 @@ void tiles(const GemmF32Args& g, std::size_t i, std::size_t j,
   tile<V, R, 1, F>(g, i, j, tail);
 }
 
-// Rows [i0, i1) of C, every column.
+// Rows [i0, i1) of C, every column: kTallRows-row tiles while a column
+// tile is one register wide, then kRows-row tiles, then single rows.
 template <class V, Form F>
 void rows(const GemmF32Args& g, std::size_t i0, std::size_t i1) {
   constexpr std::size_t kTileCols = V::kMaxVecs * V::kLanes;
@@ -123,11 +130,23 @@ void rows(const GemmF32Args& g, std::size_t i0, std::size_t i1) {
     const std::size_t vecs = (cols + V::kLanes - 1) / V::kLanes;
     const typename V::Tail tail = V::tail(cols - (vecs - 1) * V::kLanes);
     std::size_t i = i0;
+    if (vecs == 1) {
+      for (; i + kTallRows <= i1; i += kTallRows) {
+        tile<V, kTallRows, 1, F>(g, i, j, tail);
+      }
+    }
     for (; i + kRows <= i1; i += kRows) {
       tiles<V, kRows, F>(g, i, j, vecs, tail);
     }
     for (; i < i1; ++i) tiles<V, 1, F>(g, i, j, vecs, tail);
   }
+}
+
+// The update form (NN, TN), stepping with a(i, l) itself when alpha == 1.
+template <class V>
+void update_rows(const GemmF32Args& g, std::size_t i0, std::size_t i1) {
+  if (g.alpha == 1.f) return rows<V, Form::kUnitUpdate>(g, i0, i1);
+  rows<V, Form::kUpdate>(g, i0, i1);
 }
 
 constexpr std::size_t kSpmmVecs = 4;

@@ -112,14 +112,23 @@ void ThreadPool::parallel_for(
   if (error) std::rethrow_exception(error);
 }
 
+namespace {
+std::size_t configured_threads() {
+  if (const char* env = std::getenv("PPGNN_NUM_THREADS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v > 0) return static_cast<std::size_t>(v);
+  }
+  return 0;
+}
+}  // namespace
+
 ThreadPool& global_pool() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("PPGNN_NUM_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{0};
-  }());
+  static ThreadPool pool(configured_threads());
+  return pool;
+}
+
+ThreadPool& io_pool() {
+  static ThreadPool pool(configured_threads());
   return pool;
 }
 

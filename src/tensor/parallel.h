@@ -3,9 +3,10 @@
 // The pool is created once per process, on first use (see global_pool()),
 // and shared by the kernels whose loops are long enough to pay for a
 // fork-join: large fp32 GEMMs, SpMM, gather, the MP-GNN layers.  The
-// serving path (int8 GEMM, bias add, concat) runs on its caller's thread,
-// so a replica process never builds the pool unless its fp32 GEMM runs
-// on the scalar oracle.  Work is partitioned into contiguous index ranges,
+// feature store's hop-file reads and writes run on a second pool of their
+// own, io_pool().  The serving path (int8 GEMM, bias add, concat) runs on
+// its caller's thread, so a replica process never builds the pool unless
+// its fp32 GEMM runs on the scalar oracle.  Work is partitioned into contiguous index ranges,
 // one per worker, which is the right granularity for the regular,
 // bandwidth-bound loops in this library.
 #pragma once
@@ -73,6 +74,15 @@ class ThreadPool {
 // Process-wide pool; lazily constructed, sized from hardware concurrency or
 // the PPGNN_NUM_THREADS environment variable.
 ThreadPool& global_pool();
+
+// Process-wide pool for storage streams: FeatureFileStore's hop-file reads
+// and writes (loader/storage.h), one part per range of hop files.  Built
+// on first use and sized like global_pool(), but apart from it, so that a
+// loader thread's read never holds the pool a training step forks on.
+// (Sharing one pool, a trainer on the scalar GEMM oracle, whose SGC step
+// splits across the pool, ran that step serially whenever the prefetch
+// thread's read held it: train_sgc_storage's epoch read 1.6x slower.)
+ThreadPool& io_pool();
 
 // Convenience wrapper over global_pool().parallel_for.  Falls back to a
 // serial loop for small n to avoid synchronization overhead.

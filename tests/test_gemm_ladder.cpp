@@ -45,13 +45,18 @@ struct Shape {
 };
 
 // Tails below, at and past every vector width; n = 65 and 130 span two
-// and three AVX-512 column tiles; the last reaches the 2^23 multiply-add
-// floor, so the wide arms split it across the pool (the scalar oracle
-// splits every shape from 5 rows up).
+// and three AVX-512 column tiles.  Columns that fit one register take
+// 8-row tiles: m = 13, 22 and 31 end in a 4-row tile and then single
+// rows.  SGC's forward (NN) and dW (TN) shapes run as themselves.  The
+// last two reach the 2^23 multiply-add floor, so the wide arms split them
+// across the pool (the scalar oracle splits every shape from 5 rows up);
+// m = 4100 gives the 8-thread pool row ranges that are not multiples of 8.
 const Shape kShapes[] = {
-    {1, 1, 1},      {3, 7, 5},     {5, 17, 63},   {17, 33, 65},
-    {9, 31, 130},   {33, 8, 16},   {6, 13, 8},    {4, 1, 24},
-    {263, 96, 45},  {70, 300, 53}, {1024, 64, 16}, {1024, 128, 64},
+    {1, 1, 1},       {3, 7, 5},        {5, 17, 63},     {17, 33, 65},
+    {9, 31, 130},    {33, 8, 16},      {6, 13, 8},      {4, 1, 24},
+    {13, 9, 16},     {22, 40, 7},      {31, 5, 12},     {263, 96, 45},
+    {70, 300, 53},   {1024, 64, 16},   {1024, 256, 16}, {256, 1024, 16},
+    {1024, 128, 64}, {4100, 128, 16},
 };
 
 std::vector<Isa> runnable_arms() {

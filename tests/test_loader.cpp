@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <sstream>
+#include <system_error>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -14,9 +20,26 @@
 #include "loader/shuffler.h"
 #include "loader/storage.h"
 #include "tensor/ops.h"
+#include "tensor/parallel.h"
 
 namespace ppgnn::loader {
 namespace {
+
+// 2-thread pools (caller plus one worker) unless the environment already
+// chose a size, set before anything touches a pool: a 3-hop store's reads
+// and writes on io_pool() then split into hops [0, 2) on the calling
+// thread and hop 2 on the worker.
+const bool g_pool_pinned = [] {
+  ::setenv("PPGNN_NUM_THREADS", "2", 0);
+  return true;
+}();
+
+// Runs f inside an io_pool() task, where the store's own io_pool() call
+// runs serially on the calling thread.
+template <class F>
+void inside_pool_task(F&& f) {
+  io_pool().parallel_for(1, [&](std::size_t, std::size_t) { f(); });
+}
 
 TEST(Shuffler, RandomReshuffleIsPermutation) {
   Rng rng(1);
@@ -377,6 +400,58 @@ TEST_P(StoreReadTest, TruncatedHopFileThrowsInsteadOfPartialBatch) {
   store.read_chunk(0, 1024, ok);  // before the cut: still readable
 }
 
+TEST_P(StoreReadTest, PooledChunkReadsEqualSerialReadsAndCountTheSameCalls) {
+  ASSERT_TRUE(g_pool_pinned);
+  const auto store = FeatureFileStore::create(dir_, hops_, GetParam());
+  for (const auto& [lo, hi] : {std::pair<std::size_t, std::size_t>{0, 2500},
+                               {0, 1024}, {1024, 2048}, {2048, 2500},
+                               {7, 8}}) {
+    SCOPED_TRACE(std::to_string(lo) + ".." + std::to_string(hi));
+    // Different fills, so a slot either path leaves unwritten differs.
+    Tensor pooled = Tensor::full({hi - lo, 15}, -1.f);
+    Tensor serial = Tensor::full({hi - lo, 15}, -2.f);
+    std::uint64_t before = store.preads();
+    store.read_chunk(lo, hi - lo, pooled);
+    const std::uint64_t pooled_calls = store.preads() - before;
+    before = store.preads();
+    inside_pool_task([&] { store.read_chunk(lo, hi - lo, serial); });
+    EXPECT_EQ(store.preads() - before, pooled_calls);
+    expect_same_bytes(pooled, serial);
+  }
+}
+
+TEST_P(StoreReadTest, TruncatedHopFileThrowsOnTheCallerAndThePoolRunsOn) {
+  ASSERT_TRUE(g_pool_pinned);
+  // Hop 0 is read by the calling thread's part, hop 2 by a worker's.
+  for (const int cut : {0, 2}) {
+    SCOPED_TRACE("hop " + std::to_string(cut));
+    const auto store = FeatureFileStore::create(dir_, hops_, GetParam());
+    std::filesystem::resize_file(
+        dir_ + "/hop_" + std::to_string(cut) + ".bin",
+        1500 * store.hop_row_bytes() + 3);
+    Tensor out({1024, 15});
+    EXPECT_THROW(store.read_chunk(1024, 1024, out), std::runtime_error);
+
+    // The next parallel_for covers its range once, on every pool thread.
+    std::vector<std::atomic<int>> hits(4096);
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    io_pool().parallel_for(hits.size(), [&](std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) ++hits[i];
+      std::lock_guard<std::mutex> lk(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+    EXPECT_EQ(threads.size(), io_pool().size());
+
+    Tensor pooled = Tensor::full({1024, 15}, -1.f);
+    Tensor serial = Tensor::full({1024, 15}, -2.f);
+    store.read_chunk(0, 1024, pooled);  // before the cut
+    inside_pool_task([&] { store.read_chunk(0, 1024, serial); });
+    expect_same_bytes(pooled, serial);
+  }
+}
+
 // create() over a row selection against create() over the gathered rows:
 // the same files, byte for byte.  8,000 rows of 64 features put a whole
 // hop past several int8 encode buffers (68-byte records) and a scattered
@@ -450,6 +525,39 @@ TEST_P(StoreSelectTest, NoSelectionWritesEveryRow) {
   EXPECT_EQ(store.num_rows(), 8000u);
   expect_same_files(dir_ + "_all", dir_ + "_ids",
                     8000 * store.hop_row_bytes());
+}
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_P(StoreSelectTest, FailedHopWriteThrowsAfterEveryPartFinished) {
+  ASSERT_TRUE(g_pool_pinned);
+  // A directory where hop 1's file goes: its open for write fails.
+  const std::string dir = dir_ + "_fail";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/hop_1.bin");
+  const bool count_fds = std::filesystem::exists("/proc/self/fd");
+  const std::size_t fds_before = count_fds ? open_fds() : 0;
+  EXPECT_THROW((void)FeatureFileStore::create(dir, hops_, GetParam()),
+               std::system_error);
+  if (count_fds) {
+    EXPECT_EQ(open_fds(), fds_before);
+  }
+  const std::size_t rec =
+      GetParam() == RowCodec::kInt8 ? sizeof(float) + 64 : 64 * sizeof(float);
+  EXPECT_EQ(std::filesystem::file_size(dir + "/hop_0.bin"), 8000 * rec);
+  // Hop 2 is a worker's part: the exception reached the caller only after
+  // it had written its whole file.
+  if (io_pool().size() > 1) {
+    EXPECT_EQ(std::filesystem::file_size(dir + "/hop_2.bin"), 8000 * rec);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, StoreSelectTest,
